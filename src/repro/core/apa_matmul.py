@@ -24,10 +24,13 @@ multiple of the rule dims per recursion level (see
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.algorithms.spec import AlgorithmLike
 from repro.core.engine import default_engine
+from repro.core.lam import optimal_lambda, precision_bits
 from repro.linalg.blocking import BlockPartition, split_blocks
 from repro.types import GemmFn
 
@@ -159,15 +162,13 @@ def _apa_matmul_impl(
         raise ValueError(f"inner dims mismatch: {A.shape} @ {B.shape}")
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    if lam is not None and (not np.isfinite(lam) or lam <= 0):
+    if lam is not None and (not math.isfinite(lam) or lam <= 0):
         raise ValueError(f"lam must be finite and > 0, got {lam!r}")
 
     if algorithm.is_surrogate:
         from repro.core.surrogate import surrogate_matmul
 
         return surrogate_matmul(A, B, algorithm, lam=lam, steps=steps, d=d)
-
-    from repro.core.lam import optimal_lambda, precision_bits
 
     if lam is None:
         if d is None:

@@ -249,6 +249,27 @@ def _guard_key(cfg: ExecutionConfig) -> tuple[Any, ...]:
     return tuple(parts)
 
 
+#: Resolved configs memoized per engine (see :meth:`ExecutionEngine.resolve`).
+#: Bounded because keys hold their objects alive; first in, first out.
+_RESOLVE_CACHE_MAX = 128
+
+
+def _value_key(value: Any, alive: list[Any]) -> Any:
+    """Hashable key of one override value.
+
+    Scalars key by type and value; sequences element-wise; everything
+    else by identity, with the object appended to ``alive`` so the cache
+    entry keeps it from being freed and its ``id`` reused.
+    """
+    if value is None or isinstance(value, (bool, int, float, str,
+                                           np.generic)):
+        return (type(value), value)
+    if isinstance(value, (tuple, list)):
+        return (type(value), tuple(_value_key(v, alive) for v in value))
+    alive.append(value)
+    return id(value)
+
+
 #: Backend stacks cached per config (circuit-breaker, escalation, and
 #: randomized-draw state must persist across calls with the same
 #: config).  Bounded so per-call closures in a config (e.g. lambda
@@ -276,14 +297,41 @@ class ExecutionEngine:
         self._stack_lock = threading.Lock()
         self._stacks: dict[tuple[Any, ...], Any] = {}
         self._arenas = threading.local()
+        self._resolve_lock = threading.Lock()
+        self._resolved: dict[tuple[Any, ...],
+                             tuple[ExecutionConfig, tuple[Any, ...]]] = {}
 
     # -- config resolution ---------------------------------------------
 
     def resolve(self, config: ExecutionConfig | None = None, /,
                 **overrides: Any) -> ExecutionConfig:
-        """Merge all layers into one validated config (highest wins last)."""
-        cfg = ExecutionConfig()
+        """Merge all layers into one validated config (highest wins last).
+
+        Memoized per (active context, ``config``, ``overrides``): the
+        context and config by identity (an execution_context enter or
+        exit installs a new context object), override values as
+        :func:`_value_key` describes.  Entries keep every keyed object
+        alive, so an ``id`` cannot be reused while cached; a config that
+        fails validation raises and is never stored.
+        """
         ctx = active_overrides()
+        alive: list[Any] = [ctx, config]
+        key = (id(ctx), id(config), tuple(
+            (name, _value_key(value, alive))
+            for name, value in overrides.items()))
+        hit = self._resolved.get(key)
+        if hit is not None:
+            return hit[0]
+        cfg = self._merge(ctx, config, overrides)
+        with self._resolve_lock:
+            if len(self._resolved) >= _RESOLVE_CACHE_MAX:
+                del self._resolved[next(iter(self._resolved))]
+            self._resolved[key] = (cfg, tuple(alive))
+        return cfg
+
+    def _merge(self, ctx: Any, config: ExecutionConfig | None,
+               overrides: dict[str, Any]) -> ExecutionConfig:
+        cfg = ExecutionConfig()
         if ctx is not None:
             cfg = cfg.merged(ctx)
         if self._configured:

@@ -26,6 +26,9 @@ from repro.algorithms.spec import AlgorithmLike
 
 __all__ = ["precision_bits", "optimal_lambda", "lambda_candidates", "tune_lambda"]
 
+_PRECISION_BITS = {np.dtype(np.float32): 23, np.dtype(np.float64): 52,
+                   np.dtype(np.float16): 10}
+
 
 def precision_bits(dtype: npt.DTypeLike) -> int:
     """Fractional bits ``d`` of the significand for a float dtype.
@@ -34,13 +37,10 @@ def precision_bits(dtype: npt.DTypeLike) -> int:
     paper uses).
     """
     dt = np.dtype(dtype)
-    if dt == np.float32:
-        return 23
-    if dt == np.float64:
-        return 52
-    if dt == np.float16:
-        return 10
-    raise ValueError(f"unsupported floating dtype {dt}")
+    bits = _PRECISION_BITS.get(dt)
+    if bits is None:
+        raise ValueError(f"unsupported floating dtype {dt}")
+    return bits
 
 
 def optimal_lambda(algorithm: AlgorithmLike, d: int = 23,

@@ -1,37 +1,62 @@
-"""Cached execution plans and pooled workspace arenas (the hot-path engine).
+"""Cached execution plans compiled to op tapes (the hot-path engine).
 
 The interpreter in :mod:`repro.core.apa_matmul` is correct but pays per
 call for work that depends only on ``(algorithm, shape, dtype, lambda,
 steps)``: building the :class:`~repro.linalg.blocking.BlockPartition`,
 evaluating the Laurent coefficients at ``lambda``, scanning their zero
-patterns, and allocating every ``S``/``T``/``M``/``C`` buffer.  A
-training loop issues thousands of calls with the *same* key per epoch
+patterns, allocating every buffer, and walking the recursion in Python.
+A training loop issues thousands of calls with the *same* key per epoch
 (each Dense layer's forward and two backward products have fixed
 shapes), so an :class:`ExecutionPlan` precomputes all of it once:
 
 - the block partition and padded dims;
-- the numeric ``(Un, Vn, Wn)`` (via the spec's memoized ``evaluate``);
-- per-multiplication nonzero term lists (no per-call zero scans);
-- a pooled workspace *arena* — padded operand copies, per-level
-  ``S_i``/``T_i`` combination buffers, the gemm output slot, scalar
-  scratch, and the padded ``C`` — matching the footprint priced by
-  :func:`repro.core.memory.workspace_bytes`.
+- the numeric ``(Un, Vn, Wn)`` (via the spec's memoized ``evaluate``)
+  and per-multiplication nonzero term lists;
+- for sequential plans, an **op tape**: the paper's §3 straight-line
+  program — write-once combinations, ``r`` gemms, output combinations —
+  unrolled over every recursion step into a flat tuple of
+  ``(fn, args)`` numpy calls;
+- pooled workspace arenas the tape is bound to.
 
+Lowering keeps the interpreter's arithmetic, term order and dtype
+exactly, so results are bit-identical (for C-ordered operands: BLAS
+picks its kernels by memory order); it only removes work around the
+arithmetic:
+
+- a two-term combination is one ``np.add``/``np.subtract`` into its
+  buffer instead of a copy plus an in-place update;
+- each gemm writes straight into the first output block it initializes
+  with coefficient 1 (otherwise into the level's product slot ``P``),
+  and the remaining output terms of that product follow it;
+- a single coefficient-1 term is never copied: the next level (or the
+  gemm) reads the block itself, at every recursion level.
+
+Two arena layouts, chosen per plan by size:
+
+- **block-major** (staged ``A + B + C`` within
+  :data:`repro.core.memory.BLOCK_MAJOR_BYTES`, see
+  :func:`~repro.core.memory.uses_block_major`):
+  the operands are copied once each (box by box when ragged) into
+  arenas stored block by block, recursively, so every tape operand —
+  down to the gemm operands of the last step — is a contiguous block
+  bound once per workspace; the result is copied out of its arena into
+  a fresh array;
+- **views** (larger plans): level-0 operands stay zero-copy views of the
+  caller's arrays (padded arena copies only for ragged shapes), re-sliced
+  per call from the tape's precomputed slices; unpadded products are
+  written straight into a fresh output array.
+
+Either way the caller gets a fresh array that aliases no arena.
 Workspaces are checked out per call from a small free list, so one plan
-serves concurrent callers (the threaded executor's workers recurse into
-sequential plans) without aliasing.  Plans are acquired through a
-bounded, thread-safe LRU :class:`PlanCache`; the process-wide default
+serves concurrent callers without aliasing.  Plans are acquired through
+a bounded, thread-safe LRU :class:`PlanCache`; the process-wide default
 cache is what :func:`repro.core.apa_matmul.apa_matmul` and friends use
 unless told otherwise.
-
-Arithmetic is bit-identical to the interpreter: the same write-once
-combination order, the same accumulation order of products into output
-blocks, the same dtype per operation — only the allocations and the
-bookkeeping moved out of the loop.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -39,7 +64,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.algorithms.spec import AlgorithmLike
-from repro.core.memory import WorkspaceEstimate, workspace_bytes
+from repro.core.memory import (
+    WorkspaceEstimate,
+    uses_block_major,
+    workspace_bytes,
+)
 from repro.linalg.blocking import BlockPartition, split_blocks
 from repro.obs import tracer as _obs_tracer
 from repro.robustness.events import EventLog
@@ -57,6 +86,8 @@ __all__ = [
 
 #: Execution modes a plan can be built for.
 PLAN_MODES = ("sequential", "threaded", "batched")
+
+_matmul = np.matmul
 
 
 @dataclass(frozen=True)
@@ -114,73 +145,358 @@ def _flatten(X: np.ndarray, rows: int, cols: int) -> list[np.ndarray]:
     return [grid[i][j] for i in range(rows) for j in range(cols)]
 
 
+# ----------------------------------------------------------------------
+# the op tape
+# ----------------------------------------------------------------------
+
+
+class _Tape:
+    """A compiled sequential plan: ops plus the buffers they address.
+
+    ``ops`` is a tuple of ``(fn, args)``; each arg is either a numpy
+    scalar or an address ``(buffer, index)`` naming the block
+    ``arrays[buffer][index]``.  ``buffers`` maps every buffer name the
+    ops use to its array shape: the roots ``"A"``, ``"B"``, ``"C"``, the
+    per-level combination and product slots ``("S"|"T"|"P", level)``,
+    and scratch ``("X", *shape)`` views that share one allocation.
+    ``reads`` maps the index of each gemm op to the ``(op index, arg
+    positions)`` of the later ops that read its product.
+    """
+
+    __slots__ = ("ops", "buffers", "reads")
+
+    def __init__(self, ops: tuple, buffers: dict, reads: dict) -> None:
+        self.ops = ops
+        self.buffers = buffers
+        self.reads = reads
+
+    def bind(self, arrays: dict) -> list:
+        """Resolve every address against concrete buffers."""
+        return [
+            (fn, tuple([a if isinstance(a, np.generic)
+                        else arrays[a[0]][a[1]] for a in args]))
+            for fn, args in self.ops
+        ]
+
+    def allocate(self, dtype: np.dtype, roots: bool) -> dict:
+        """Fresh arena buffers for this tape (roots only if asked)."""
+        arrays = {}
+        scratch = np.empty(_scratch_elements(self.buffers), dtype=dtype)
+        for name, shape in self.buffers.items():
+            if name[0] == "X":
+                arrays[name] = scratch[:math.prod(shape)].reshape(shape)
+            elif isinstance(name, tuple):
+                arrays[name] = np.empty(shape, dtype=dtype)
+            elif roots:
+                # Padding margins are written once here and never again.
+                arrays[name] = np.zeros(shape, dtype=dtype)
+        return arrays
+
+
+def _scratch_elements(buffers: dict) -> int:
+    return max((math.prod(s) for n, s in buffers.items() if n[0] == "X"),
+               default=0)
+
+
+def _run(ops: list, gemm: GemmFn | None, reads: dict) -> None:
+    """Execute a bound tape: one numpy call per op.
+
+    A ``gemm`` override runs each product as ``copyto(out, gemm(S, T))``.
+    When the override returns another dtype than the arena's (a fault
+    that adds float64 noise, say), the ops that read the product get the
+    returned array itself, as the interpreter combines it.
+    """
+    if gemm is None:
+        for fn, args in ops:
+            fn(*args)
+        return
+    raw: dict = {}
+    for i, (fn, args) in enumerate(ops):
+        if raw and i in raw:
+            positions, M = raw.pop(i)
+            args = tuple(M if p in positions else a
+                         for p, a in enumerate(args))
+        if fn is _matmul:
+            x, y, out = args
+            M = gemm(x, y)
+            np.copyto(out, M)
+            if M.dtype != out.dtype:
+                for j, positions in reads[i]:
+                    raw[j] = (positions, M)
+        else:
+            fn(*args)
+
+
+def _compile(plan: ExecutionPlan, block_major: bool) -> _Tape:
+    """Lower a sequential plan, every step unrolled, to an op tape.
+
+    Mirrors the interpreter term for term: per multiplication the ``S``
+    and ``T`` combinations, the product (a gemm, or the next level's
+    ops), then its output terms in block order.  Output blocks no
+    multiplication feeds are zeroed last.
+    """
+    part = plan.partition
+    m, n, k = part.m, part.n, part.k
+    steps = plan.key.steps
+    buffers: dict = {}
+    ops: list = []
+    reads: dict = {}
+    zero = plan.dtype.type(0)
+
+    def root(name, rows, cols, rr, rc, depth):
+        """Address of a whole buffer, registering its shape."""
+        if block_major:
+            buffers[name] = (rr, rc) * depth + (rows // rr**depth,
+                                                cols // rc**depth)
+            return (name, ())
+        buffers[name] = (rows, cols)
+        return (name, (slice(0, rows), slice(0, cols)))
+
+    def children(addr, rows, cols):
+        name, idx = addr
+        if block_major:
+            return [(name, idx + (i, j))
+                    for i in range(rows) for j in range(cols)]
+        rs, cs = idx
+        h = (rs.stop - rs.start) // rows
+        w = (cs.stop - cs.start) // cols
+        return [(name, (slice(rs.start + i * h, rs.start + (i + 1) * h),
+                        slice(cs.start + j * w, cs.start + (j + 1) * w)))
+                for i in range(rows) for j in range(cols)]
+
+    def scratch(addr):
+        name, idx = addr
+        if block_major:
+            shape = buffers[name][len(idx):]
+        else:
+            shape = tuple(s.stop - s.start for s in idx)
+        buffers[("X",) + shape] = shape
+        return (("X",) + shape, ())
+
+    def emit(fn, *args):
+        ops.append((fn, args))
+
+    def accumulate(out, src, c):
+        """``out += c * src``, the interpreter's in-place update."""
+        if c == 1:
+            emit(np.add, out, src, out)
+        elif c == -1:
+            emit(np.subtract, out, src, out)
+        else:
+            scr = scratch(out)
+            emit(np.multiply, src, c, scr)
+            emit(np.add, out, scr, out)
+
+    def combine(terms, blocks, slot):
+        """Write-once combination; a lone unit term is the block itself."""
+        if len(terms) == 1 and terms[0][1] == 1:
+            return blocks[terms[0][0]]
+        out = slot()
+        if not terms:
+            emit(np.copyto, out, zero)
+            return out
+        (i0, c0), rest = terms[0], terms[1:]
+        if c0 == 1:
+            # copy + first update fused: a0 + c1*a1 is one rounding
+            # either way.
+            (i1, c1), rest = rest[0], rest[1:]
+            if c1 == 1:
+                emit(np.add, blocks[i0], blocks[i1], out)
+            elif c1 == -1:
+                emit(np.subtract, blocks[i0], blocks[i1], out)
+            else:
+                scr = scratch(out)
+                emit(np.multiply, blocks[i1], c1, scr)
+                emit(np.add, blocks[i0], scr, out)
+        else:
+            emit(np.multiply, blocks[i0], c0, out)
+        for idx, c in rest:
+            accumulate(out, blocks[idx], c)
+        return out
+
+    Mp, Np, Kp = part.padded_rows_a, part.padded_cols_a, part.padded_cols_b
+
+    def level(lvl, a_blocks, b_blocks, out):
+        depth = steps - lvl - 1
+        bm, bn, bk = (Mp // m ** (lvl + 1), Np // n ** (lvl + 1),
+                      Kp // k ** (lvl + 1))
+        c_blocks = children(out, m, k)
+        written = [False] * len(c_blocks)
+        for i in range(plan.rank):
+            S = combine(plan.s_terms[i], a_blocks,
+                        lambda: root(("S", lvl), bm, bn, m, n, depth))
+            T = combine(plan.t_terms[i], b_blocks,
+                        lambda: root(("T", lvl), bn, bk, n, k, depth))
+            target = next((q for q, w in plan.w_terms[i]
+                           if w == 1 and not written[q]), None)
+            if target is None:
+                M = root(("P", lvl), bm, bk, m, k, depth)
+            else:
+                M = c_blocks[target]
+                written[target] = True
+            if depth == 0:
+                emit(_matmul, S, T, M)
+            else:
+                level(lvl + 1, children(S, m, n), children(T, n, k), M)
+            first = len(ops)
+            for q, w in plan.w_terms[i]:
+                if q == target:
+                    continue
+                if written[q]:
+                    accumulate(c_blocks[q], M, w)
+                elif w == 1:
+                    emit(np.copyto, c_blocks[q], M)
+                else:
+                    emit(np.multiply, M, w, c_blocks[q])
+                written[q] = True
+            if depth == 0:
+                reads[first - 1] = tuple(
+                    (j, pos) for j in range(first, len(ops))
+                    if (pos := tuple(p for p, a in enumerate(ops[j][1])
+                                     if isinstance(a, tuple) and a == M)))
+        # Output blocks no multiplication feeds (possible for padded
+        # partitions of degenerate rules) must not leak stale memory.
+        for q, done in enumerate(written):
+            if not done:
+                emit(np.copyto, c_blocks[q], zero)
+
+    A = root("A", Mp, Np, m, n, steps)
+    B = root("B", Np, Kp, n, k, steps)
+    C = root("C", Mp, Kp, m, k, steps)
+    level(0, children(A, m, n), children(B, n, k), C)
+    return _Tape(tuple(ops), buffers, reads)
+
+
+# ----------------------------------------------------------------------
+# block-major staging
+# ----------------------------------------------------------------------
+
+
+def _digit_segments(extent: int, padded: int, radix: int,
+                    levels: int) -> list[tuple]:
+    """Cover ``[0, extent)`` of one padded dimension with layout boxes.
+
+    In the block-major layout, index ``i`` of a dimension padded to
+    ``padded`` lives at digits ``(i_0, ..., i_{levels-1}, a)`` (one block
+    index per level, then the offset in the last block).  Returns
+    ``(start, stop, index, shape)`` per box: source range, the index of
+    the box on the dimension's digit axes, and the shape that splits the
+    source range onto them.  An unpadded dimension is one box.
+    """
+    base = padded // radix**levels
+    segments = []
+    lo = 0
+    prefix: tuple = ()
+    width = padded
+    for lvl in range(levels):
+        width //= radix
+        q = (extent - lo) // width
+        if q:
+            free = levels - lvl - 1
+            segments.append((lo, lo + q * width,
+                             prefix + (slice(0, q),)
+                             + (slice(None),) * (free + 1),
+                             (q,) + (radix,) * free + (base,)))
+            lo += q * width
+        if lo == extent:
+            return segments
+        prefix += (q,)
+    segments.append((lo, extent, prefix + (slice(0, extent - lo),),
+                     (extent - lo,)))
+    return segments
+
+
+def _boxes(arena: np.ndarray, rows: int, cols: int, padded_rows: int,
+           padded_cols: int, rr: int, rc: int, levels: int) -> list[tuple]:
+    """``(source slices, split shape, arena view)`` per staging box."""
+    # Arena axes are (i0, j0, i1, j1, ..., a, b); put rows first.
+    order = [*range(0, 2 * levels + 1, 2), *range(1, 2 * levels + 2, 2)]
+    grid = arena.transpose(order)
+    boxes = []
+    for r0, r1, ridx, rshape in _digit_segments(rows, padded_rows, rr,
+                                                levels):
+        for c0, c1, cidx, cshape in _digit_segments(cols, padded_cols, rc,
+                                                    levels):
+            boxes.append(((slice(r0, r1), slice(c0, c1)), rshape + cshape,
+                          grid[ridx + cidx]))
+    return boxes
+
+
+# ----------------------------------------------------------------------
+# workspaces
+# ----------------------------------------------------------------------
+
+
 class _Workspace:
-    """One call's worth of arena buffers for a plan.
+    """One call's worth of arena buffers for a sequential plan.
 
     Checked out of the plan's free list for the duration of a call, so
     concurrent executions of the same plan never share a buffer.
+    Block-major workspaces hold their tape bound to their own arenas
+    (``ops``) and the staging boxes; view workspaces hold only the
+    combination/product slots plus padded staging and output when the
+    shape is ragged.
     """
 
-    __slots__ = ("Ap", "Bp", "C", "S", "T", "P",
-                 "a_blocks", "b_blocks", "c_blocks", "_scratch")
+    __slots__ = ("arrays", "ops", "a_boxes", "b_boxes", "c_boxes",
+                 "Ap", "Bp", "C")
 
     def __init__(self, plan: ExecutionPlan) -> None:
         part = plan.partition
-        dtype = plan.dtype
+        key = plan.key
+        tape = plan._tape
+        self.arrays = tape.allocate(plan.dtype, roots=plan.block_major)
+        self.ops = self.a_boxes = self.b_boxes = self.c_boxes = None
+        self.Ap = self.Bp = self.C = None
+        Mp, Np, Kp = (part.padded_rows_a, part.padded_cols_a,
+                      part.padded_cols_b)
+        if plan.block_major:
+            m, n, k, steps = part.m, part.n, part.k, key.steps
+            self.ops = tape.bind(self.arrays)
+            self.a_boxes = _boxes(self.arrays["A"], key.rows_a, key.cols_a,
+                                  Mp, Np, m, n, steps)
+            self.b_boxes = _boxes(self.arrays["B"], key.cols_a, key.cols_b,
+                                  Np, Kp, n, k, steps)
+            self.c_boxes = _boxes(self.arrays["C"], key.rows_a, key.cols_b,
+                                  Mp, Kp, m, k, steps)
+            return
+        if plan.pads_a:
+            self.Ap = np.zeros((Mp, Np), dtype=plan.dtype)
+        if plan.pads_b:
+            self.Bp = np.zeros((Np, Kp), dtype=plan.dtype)
+        if plan.pads_c:
+            self.C = np.empty((Mp, Kp), dtype=plan.dtype)
+
+
+class _ThreadedWorkspace:
+    """Staged operands and padded output for the threaded executor.
+
+    The executor keeps all ``r`` products alive itself; only staging
+    and the output arena are pooled here.
+    """
+
+    __slots__ = ("Ap", "Bp", "C", "a_blocks", "b_blocks", "c_blocks")
+
+    def __init__(self, plan: ExecutionPlan) -> None:
+        part = plan.partition
         m, n, k = part.m, part.n, part.k
         Mp, Np, Kp = (part.padded_rows_a, part.padded_cols_a,
                       part.padded_cols_b)
-        # Padded staging copies exist only when shapes are ragged; the
-        # zero margins are written once here and never touched again.
-        self.Ap = np.zeros((Mp, Np), dtype=dtype) if plan.pads_a else None
-        self.Bp = np.zeros((Np, Kp), dtype=dtype) if plan.pads_b else None
-        self._scratch: dict[tuple[int, int], np.ndarray] = {}
+        self.Ap = np.zeros((Mp, Np), dtype=plan.dtype) if plan.pads_a \
+            else None
+        self.Bp = np.zeros((Np, Kp), dtype=plan.dtype) if plan.pads_b \
+            else None
+        self.C = [np.empty((Mp, Kp), dtype=plan.dtype)]
+        self.a_blocks = [
+            _flatten(self.Ap, m, n) if self.Ap is not None else None]
+        self.b_blocks = [
+            _flatten(self.Bp, n, k) if self.Bp is not None else None]
+        self.c_blocks = [_flatten(self.C[0], m, k)]
 
-        if plan.mode == "threaded":
-            # The threaded executor keeps all r products alive and only
-            # needs the staged operands plus the padded output here.
-            self.C = [np.empty((Mp, Kp), dtype=dtype)]
-            self.S = self.T = []
-            self.P = None
-            self.a_blocks = [
-                _flatten(self.Ap, m, n) if self.Ap is not None else None]
-            self.b_blocks = [
-                _flatten(self.Bp, n, k) if self.Bp is not None else None]
-            self.c_blocks = [_flatten(self.C[0], m, k)]
-            return
 
-        steps = plan.key.steps
-        self.C = []
-        self.S = []
-        self.T = []
-        bm, bn, bk = Mp, Np, Kp
-        for _ in range(steps):
-            self.C.append(np.empty((bm, bk), dtype=dtype))
-            bm, bn, bk = bm // m, bn // n, bk // k
-            self.S.append(np.empty((bm, bn), dtype=dtype))
-            self.T.append(np.empty((bn, bk), dtype=dtype))
-        self.P = np.empty((bm, bk), dtype=dtype)
-        # Block views are precomputable wherever the underlying buffer
-        # is arena-owned: level 0 over the staged operands (when they
-        # exist), level l >= 1 over the previous level's S/T buffers.
-        self.a_blocks = [None] * steps
-        self.b_blocks = [None] * steps
-        if self.Ap is not None:
-            self.a_blocks[0] = _flatten(self.Ap, m, n)
-        if self.Bp is not None:
-            self.b_blocks[0] = _flatten(self.Bp, n, k)
-        for lvl in range(1, steps):
-            self.a_blocks[lvl] = _flatten(self.S[lvl - 1], m, n)
-            self.b_blocks[lvl] = _flatten(self.T[lvl - 1], n, k)
-        self.c_blocks = [_flatten(C, m, k) for C in self.C]
-
-    def scratch(self, shape: tuple[int, int], dtype) -> np.ndarray:
-        """A reusable scalar-scratch buffer of the given shape."""
-        buf = self._scratch.get(shape)
-        if buf is None:
-            buf = np.empty(shape, dtype=dtype)
-            self._scratch[shape] = buf
-        return buf
+# ----------------------------------------------------------------------
+# the plan
+# ----------------------------------------------------------------------
 
 
 class ExecutionPlan:
@@ -197,27 +513,36 @@ class ExecutionPlan:
         self.key = key
         self.algorithm = algorithm
         self.dtype = np.dtype(key.dtype)
-        self.partition = BlockPartition(
+        self.partition = part = BlockPartition(
             algorithm.m, algorithm.n, algorithm.k,
             rows_a=key.rows_a, cols_a=key.cols_a, cols_b=key.cols_b,
             steps=key.steps if key.mode != "batched" else 1,
         )
-        self.pads_a = (self.partition.padded_rows_a != key.rows_a
-                       or self.partition.padded_cols_a != key.cols_a)
-        self.pads_b = (self.partition.padded_cols_a != key.cols_a
-                       or self.partition.padded_cols_b != key.cols_b)
+        self.pads_a = (part.padded_rows_a != key.rows_a
+                       or part.padded_cols_a != key.cols_a)
+        self.pads_b = (part.padded_cols_a != key.cols_a
+                       or part.padded_cols_b != key.cols_b)
+        self.pads_c = (part.padded_rows_a != key.rows_a
+                       or part.padded_cols_b != key.cols_b)
         self.Un, self.Vn, self.Wn = algorithm.evaluate(
             key.lam, dtype=self.dtype)
         self.rank = algorithm.rank
         self.s_terms, self.t_terms, self.w_terms = term_lists(
             self.Un, self.Vn, self.Wn)
         self.schedule = None
+        self.block_major = False
+        self._tape: _Tape | None = None
         if key.mode == "threaded":
             from repro.parallel.strategy import build_schedule
 
             self.schedule = build_schedule(self.rank, key.threads,
                                            key.strategy)
-        self._free: list[_Workspace] = []
+        elif key.mode == "sequential":
+            self.block_major = uses_block_major(
+                algorithm, key.rows_a, key.cols_a, key.cols_b,
+                steps=key.steps, dtype_bytes=self.dtype.itemsize)
+            self._tape = _compile(self, self.block_major)
+        self._free: list = []
         self._lock = threading.Lock()
         self.workspaces_built = 0
         self.executions = 0
@@ -228,19 +553,42 @@ class ExecutionPlan:
 
     @property
     def estimate(self) -> WorkspaceEstimate:
-        """The arena footprint priced by the §3.3 workspace model."""
-        return workspace_bytes(
-            self.algorithm, self.key.rows_a, self.key.cols_a,
-            self.key.cols_b, steps=self.key.steps,
-            dtype_bytes=self.dtype.itemsize,
-            parallel=self.key.mode == "threaded",
+        """The arena footprint of one workspace (the §3.3 model's terms).
+
+        Sequential plans price their compiled tape exactly — what one
+        checked-out workspace allocates; other modes use
+        :func:`repro.core.memory.workspace_bytes`.
+        """
+        if self._tape is None:
+            return workspace_bytes(
+                self.algorithm, self.key.rows_a, self.key.cols_a,
+                self.key.cols_b, steps=self.key.steps,
+                dtype_bytes=self.dtype.itemsize,
+                parallel=self.key.mode == "threaded",
+            )
+        item = self.dtype.itemsize
+        sizes = {name: math.prod(shape) * item
+                 for name, shape in self._tape.buffers.items()}
+        part = self.partition
+        Mp, Np, Kp = (part.padded_rows_a, part.padded_cols_a,
+                      part.padded_cols_b)
+        bm = self.block_major
+        return WorkspaceEstimate(
+            padded_inputs=(Mp * Np * item if bm or self.pads_a else 0)
+            + (Np * Kp * item if bm or self.pads_b else 0),
+            combination_buffers=sum(
+                b for name, b in sizes.items() if name[0] in ("S", "T"))
+            + _scratch_elements(self._tape.buffers) * item,
+            product_buffers=sum(
+                b for name, b in sizes.items() if name[0] == "P"),
+            padded_output=Mp * Kp * item if bm or self.pads_c else 0,
         )
 
     # ------------------------------------------------------------------
     # workspace pool
     # ------------------------------------------------------------------
 
-    def checkout(self) -> _Workspace:
+    def checkout(self):
         """Acquire a workspace (reused when free, built when not)."""
         if self.key.mode == "batched":
             raise ValueError("batched plans carry no workspace arena "
@@ -250,9 +598,11 @@ class ExecutionPlan:
             if self._free:
                 return self._free.pop()
             self.workspaces_built += 1
+        if self.key.mode == "threaded":
+            return _ThreadedWorkspace(self)
         return _Workspace(self)
 
-    def release(self, ws: _Workspace) -> None:
+    def release(self, ws) -> None:
         with self._lock:
             self._free.append(ws)
 
@@ -260,9 +610,21 @@ class ExecutionPlan:
     # staging
     # ------------------------------------------------------------------
 
-    def stage(self, ws: _Workspace, A: np.ndarray,
+    def stage(self, ws, A: np.ndarray,
               B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Copy ragged operands into the padded arena (views otherwise)."""
+        """Copy operands into the workspace's staging arenas.
+
+        Block-major workspaces take both operands, one copy per layout
+        box (one per operand when unpadded); view workspaces copy only
+        ragged operands into their padded arenas and return the caller's
+        arrays otherwise.
+        """
+        if getattr(ws, "a_boxes", None) is not None:
+            for sl, shape, dst in ws.a_boxes:
+                np.copyto(dst, A[sl].reshape(shape))
+            for sl, shape, dst in ws.b_boxes:
+                np.copyto(dst, B[sl].reshape(shape))
+            return ws.arrays["A"], ws.arrays["B"]
         if ws.Ap is None:
             Ap = A
         else:
@@ -286,7 +648,7 @@ class ExecutionPlan:
         ``gemm`` overrides the base-case multiply exactly as in
         :func:`~repro.core.apa_matmul.apa_matmul` (the fault-injection
         seam); the default routes through ``np.matmul`` writing straight
-        into the arena's product slot.
+        into the output block or product slot.  Returns a fresh array.
 
         With no tracer installed this method is a single extra branch
         over :meth:`_execute` (the un-instrumented body —
@@ -305,106 +667,36 @@ class ExecutionPlan:
 
     def _execute(self, A: np.ndarray, B: np.ndarray,
                  gemm: GemmFn | None = None) -> np.ndarray:
-        if self.key.mode != "sequential":
+        key = self.key
+        if key.mode != "sequential":
             raise ValueError(f"execute() is for sequential plans, "
-                             f"this one is {self.key.mode!r}")
-        if A.shape != (self.key.rows_a, self.key.cols_a) \
-                or B.shape != (self.key.cols_a, self.key.cols_b):
+                             f"this one is {key.mode!r}")
+        if A.shape != (key.rows_a, key.cols_a) \
+                or B.shape != (key.cols_a, key.cols_b):
             raise ValueError(
                 f"operands {A.shape} @ {B.shape} do not match plan key "
-                f"({self.key.rows_a},{self.key.cols_a})"
-                f"@({self.key.cols_a},{self.key.cols_b})")
+                f"({key.rows_a},{key.cols_a})"
+                f"@({key.cols_a},{key.cols_b})")
         ws = self.checkout()
         try:
-            m, n, k = self.partition.m, self.partition.n, self.partition.k
+            if ws.ops is not None:
+                self.stage(ws, A, B)
+                _run(ws.ops, gemm, self._tape.reads)
+                C = np.empty((key.rows_a, key.cols_b), dtype=self.dtype)
+                for sl, shape, src in ws.c_boxes:
+                    np.copyto(C[sl].reshape(shape), src)
+                return C
             Ap, Bp = self.stage(ws, A, B)
-            a0 = ws.a_blocks[0] if ws.a_blocks[0] is not None \
-                else _flatten(Ap, m, n)
-            b0 = ws.b_blocks[0] if ws.b_blocks[0] is not None \
-                else _flatten(Bp, n, k)
-            C = self._run_level(ws, 0, a0, b0, gemm)
-            # Always hand back a fresh array: the arena C is reused by
-            # the next call through this plan.
-            return np.array(C[: self.key.rows_a, : self.key.cols_b])
+            C = ws.C if ws.C is not None else np.empty(
+                (key.rows_a, key.cols_b), dtype=self.dtype)
+            _run(self._tape.bind({**ws.arrays, "A": Ap, "B": Bp, "C": C}),
+                 gemm, self._tape.reads)
+            if ws.C is None:
+                return C
+            # The arena C is reused by the next call: copy out.
+            return np.array(C[: key.rows_a, : key.cols_b])
         finally:
             self.release(ws)
-
-    def _combine(self, terms, blocks, out: np.ndarray, ws: _Workspace,
-                 allow_view: bool) -> np.ndarray:
-        """Write-once linear combination from a precomputed term list.
-
-        Mirrors :func:`~repro.core.apa_matmul.linear_combination` term
-        for term; ``allow_view`` (base level only) keeps the
-        single-block/coefficient-1 zero-copy path, while inner levels
-        must materialize into ``out`` because the next level's
-        precomputed block views alias it.
-        """
-        if not terms:
-            out[...] = 0
-            return out
-        idx0, c0 = terms[0]
-        if len(terms) == 1 and c0 == 1:
-            if allow_view:
-                return blocks[idx0]
-            np.copyto(out, blocks[idx0])
-            return out
-        if c0 == 1:
-            np.copyto(out, blocks[idx0])
-        else:
-            np.multiply(blocks[idx0], c0, out=out)
-        for idx, c in terms[1:]:
-            if c == 1:
-                out += blocks[idx]
-            elif c == -1:
-                out -= blocks[idx]
-            else:
-                scr = ws.scratch(out.shape, out.dtype)
-                np.multiply(blocks[idx], c, out=scr)
-                out += scr
-        return out
-
-    def _run_level(self, ws: _Workspace, level: int, a_blocks, b_blocks,
-                   gemm: GemmFn | None) -> np.ndarray:
-        base = level == self.key.steps - 1
-        S_buf, T_buf = ws.S[level], ws.T[level]
-        c_blocks = ws.c_blocks[level]
-        initialized = [False] * len(c_blocks)
-        for i in range(self.rank):
-            S = self._combine(self.s_terms[i], a_blocks, S_buf, ws,
-                              allow_view=base)
-            T = self._combine(self.t_terms[i], b_blocks, T_buf, ws,
-                              allow_view=base)
-            if base:
-                if gemm is None:
-                    M = np.matmul(S, T, out=ws.P)
-                else:
-                    M = gemm(S, T)
-            else:
-                M = self._run_level(ws, level + 1, ws.a_blocks[level + 1],
-                                    ws.b_blocks[level + 1], gemm)
-            for q, w in self.w_terms[i]:
-                target = c_blocks[q]
-                if not initialized[q]:
-                    if w == 1:
-                        np.copyto(target, M)
-                    else:
-                        np.multiply(M, w, out=target)
-                    initialized[q] = True
-                elif w == 1:
-                    target += M
-                elif w == -1:
-                    target -= M
-                else:
-                    scr = ws.scratch(target.shape, target.dtype)
-                    np.multiply(M, w, out=scr)
-                    target += scr
-        # Output blocks no multiplication contributes to (possible for
-        # padded partitions of degenerate rules) must not leak stale
-        # arena data.
-        for q, done in enumerate(initialized):
-            if not done:
-                c_blocks[q][...] = 0
-        return ws.C[level]
 
 
 class PlanCache:
@@ -422,7 +714,7 @@ class PlanCache:
         self.maxsize = maxsize
         self.log = log
         self._lock = threading.Lock()
-        self._plans: OrderedDict[PlanKey, ExecutionPlan] = OrderedDict()
+        self._plans: OrderedDict[tuple, ExecutionPlan] = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -440,26 +732,34 @@ class PlanCache:
         strategy: str = "none",
         threads: int = 1,
     ) -> ExecutionPlan:
-        """Get-or-build the plan for a fully resolved configuration."""
-        key = PlanKey(
-            algorithm=algorithm.name, alg_id=id(algorithm),
-            rows_a=rows_a, cols_a=cols_a, cols_b=cols_b,
-            dtype=np.dtype(dtype).str, lam=float(lam), steps=steps,
-            mode=mode, strategy=strategy, threads=threads,
-        )
+        """Get-or-build the plan for a fully resolved configuration.
+
+        Plans are filed under a plain tuple of the arguments (the
+        algorithm by identity — the cached plan keeps it alive); the
+        :class:`PlanKey` record is built only when a plan is.
+        """
+        dtype = np.dtype(dtype)
+        lam = float(lam)
+        fast = (id(algorithm), rows_a, cols_a, cols_b, dtype, lam, steps,
+                mode, strategy, threads)
         tracer = _obs_tracer.ACTIVE
         with self._lock:
-            plan = self._plans.get(key)
+            plan = self._plans.get(fast)
             if plan is not None:
-                self._plans.move_to_end(key)
+                self._plans.move_to_end(fast)
                 self.hits += 1
         if plan is not None:
             if tracer is not None:
                 tracer.instant("plan-hit", cat="plan",
-                               algorithm=key.algorithm,
-                               shape=f"{key.rows_a}x{key.cols_a}x"
-                                     f"{key.cols_b}")
+                               algorithm=plan.key.algorithm,
+                               shape=f"{rows_a}x{cols_a}x{cols_b}")
             return plan
+        key = PlanKey(
+            algorithm=algorithm.name, alg_id=id(algorithm),
+            rows_a=rows_a, cols_a=cols_a, cols_b=cols_b,
+            dtype=dtype.str, lam=lam, steps=steps,
+            mode=mode, strategy=strategy, threads=threads,
+        )
         # Build outside the lock: plan construction evaluates
         # coefficients and allocates nothing shared, so a rare duplicate
         # build is cheaper than serializing every miss.
@@ -467,17 +767,18 @@ class PlanCache:
         evicted: list[PlanKey] = []
         missed = False
         with self._lock:
-            plan = self._plans.get(key)
+            plan = self._plans.get(fast)
             if plan is None:
                 self.misses += 1
                 missed = True
-                self._plans[key] = plan = built
+                self._plans[fast] = plan = built
                 if self.log is not None:
                     self.log.emit("plan-miss", f"plan:{key.algorithm}",
                                   f"built {key.rows_a}x{key.cols_a}x"
                                   f"{key.cols_b} {key.mode} plan")
                 while len(self._plans) > self.maxsize:
-                    old_key, _ = self._plans.popitem(last=False)
+                    _, old = self._plans.popitem(last=False)
+                    old_key = old.key
                     self.evictions += 1
                     evicted.append(old_key)
                     if self.log is not None:
@@ -487,7 +788,7 @@ class PlanCache:
                                       f"{old_key.cols_a}x{old_key.cols_b}")
             else:
                 self.hits += 1
-                self._plans.move_to_end(key)
+                self._plans.move_to_end(fast)
         if tracer is not None:
             if not missed:
                 tracer.instant("plan-hit", cat="plan",

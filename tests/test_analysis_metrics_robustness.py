@@ -123,9 +123,58 @@ class TestFailureInjection:
                                            batch_size=100)
         assert "injected" in format_error_tolerance_study(points)
 
-    def test_bad_lambda_degrades_monotonically_in_error(self):
-        points = run_bad_lambda_study(lambda_scales=(1.0, 64.0), epochs=3,
-                                      n_train=1200, n_test=300)
-        assert points[0].relative_error < points[1].relative_error
-        # heavily mistuned lambda must not *help*
-        assert points[1].test_accuracy <= points[0].test_accuracy + 0.05
+    @pytest.fixture(scope="class")
+    def bad_lambda_runs(self):
+        """Per seed 0-4: the realized product error at lambda scales 1, 8
+        and 64, and the study's points at scales 1 and 64.
+
+        One seed's accuracy after 3 epochs is noise: the study's float32
+        products change bits with the process's BLAS thread count, and
+        training at lr 0.2 amplifies that (seed 0 scores 0.62 tuned vs
+        0.713 mistuned with 2 OpenBLAS threads, 0.67 vs 0.693 with 1).
+        """
+        from repro.algorithms.catalog import get_algorithm
+        from repro.core.backend import APABackend
+        from repro.core.lam import optimal_lambda
+
+        alg = get_algorithm("smirnov444")
+        lam_opt = optimal_lambda(alg, d=23)
+        runs = []
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            A = rng.standard_normal((100, 300)).astype(np.float32)
+            B = rng.standard_normal((300, 300)).astype(np.float32)
+            ref = A.astype(np.float64) @ B.astype(np.float64)
+            errors = [
+                np.linalg.norm(APABackend(algorithm=alg, lam=lam_opt * s)
+                               .matmul(A, B) - ref) / np.linalg.norm(ref)
+                for s in (1.0, 8.0, 64.0)]
+            points = run_bad_lambda_study(lambda_scales=(1.0, 64.0),
+                                          epochs=3, n_train=1200,
+                                          n_test=300, seed=seed)
+            runs.append((errors, points))
+        return runs
+
+    def test_bad_lambda_degrades_monotonically_in_error(self,
+                                                        bad_lambda_runs):
+        """Mis-tuning lambda raises the product error on every seed."""
+        for errors, points in bad_lambda_runs:
+            assert errors[0] < errors[1] < errors[2]
+            assert points[0].relative_error < points[1].relative_error
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "the claim does not hold: over seeds 0-4 lambda x64 gains "
+        "+0.07 (1 BLAS thread) to +0.10 (2 threads) test accuracy on "
+        "average after 3 epochs, sd 0.11-0.12; upper bound 0.18-0.22"))
+    def test_bad_lambda_accuracy_gain_within_tolerance(self,
+                                                       bad_lambda_runs):
+        """Heavily mistuned lambda must not *help*: at one-sided 95%
+        confidence the paired mean accuracy gain over seeds stays within
+        0.05."""
+        from scipy.stats import t as student_t
+
+        diffs = [points[1].test_accuracy - points[0].test_accuracy
+                 for _, points in bad_lambda_runs]
+        mean = float(np.mean(diffs))
+        se = float(np.std(diffs, ddof=1)) / np.sqrt(len(diffs))
+        assert mean + student_t.ppf(0.95, len(diffs) - 1) * se <= 0.05

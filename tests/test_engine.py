@@ -14,6 +14,7 @@ combos raise clear errors.
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 
 import numpy as np
@@ -397,6 +398,88 @@ class TestConfigValidation:
     def test_unknown_backend_name_message_survives(self):
         with pytest.raises(KeyError, match="unknown backend"):
             make_backend("classical_v2")
+
+
+# ----------------------------------------------------------------------
+# the resolve cache
+# ----------------------------------------------------------------------
+
+
+class TestResolveCache:
+    def test_context_enter_and_exit_are_never_stale(self):
+        engine = ExecutionEngine()
+        alg = get_algorithm("bini322")
+        assert engine.resolve(None, algorithm=alg).steps is None
+        with execution_context(steps=2):
+            assert engine.resolve(None, algorithm=alg).steps == 2
+            with execution_context(steps=3, lam=0.25):
+                inner = engine.resolve(None, algorithm=alg)
+                assert (inner.steps, inner.lam) == (3, 0.25)
+            after_inner = engine.resolve(None, algorithm=alg)
+            assert (after_inner.steps, after_inner.lam) == (2, None)
+        assert engine.resolve(None, algorithm=alg).steps is None
+        with execution_context(steps=2):
+            # A fresh context with the same overrides resolves alike.
+            assert engine.resolve(None, algorithm=alg).steps == 2
+
+    def test_configured_engines_keep_their_own_layer(self):
+        pinned = ExecutionEngine(ExecutionConfig(steps=3))
+        plain = ExecutionEngine()
+        for _ in range(2):
+            assert pinned.resolve(None, algorithm="bini322").steps == 3
+            assert plain.resolve(None, algorithm="bini322").steps is None
+        with execution_context(steps=2):
+            assert pinned.resolve().steps == 3
+            assert plain.resolve().steps == 2
+
+    def test_distinct_objects_resolve_to_themselves(self):
+        engine = ExecutionEngine()
+        alg = get_algorithm("strassen222")
+        twin = dataclasses.replace(alg)  # equal fields, distinct object
+        caches = [PlanCache(), PlanCache()]
+        for _ in range(2):
+            assert engine.resolve(None, algorithm=alg).algorithm is alg
+            assert engine.resolve(None, algorithm=twin).algorithm is twin
+            for cache in caches:
+                assert engine.resolve(
+                    None, plan_cache=cache).plan_cache is cache
+        first, second = ExecutionConfig(steps=2), ExecutionConfig(steps=3)
+        assert engine.resolve(first).steps == 2
+        assert engine.resolve(second).steps == 3
+        # Scalars key by type and value: 1 and 1.0 and True differ.
+        assert type(engine.resolve(None, lam=1).lam) is int
+        assert type(engine.resolve(None, lam=1.0).lam) is float
+
+    def test_invalid_configs_raise_on_every_call(self):
+        engine = ExecutionEngine()
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                engine.resolve(None, steps=0)
+            with pytest.raises(TypeError):
+                engine.resolve(None, no_such_knob=1)
+        assert engine._resolved == {}
+
+    def test_cache_is_bounded_and_keeps_keyed_objects_alive(self):
+        import gc
+        import weakref
+
+        from repro.core.engine import _RESOLVE_CACHE_MAX
+
+        engine = ExecutionEngine()
+        config = ExecutionConfig(steps=2)
+        ref = weakref.ref(config)
+        assert engine.resolve(config).steps == 2
+        del config
+        gc.collect()
+        # Keyed by id, so the entry holds the object: its id cannot be
+        # handed to a new object while the entry lives.
+        assert ref() is not None
+        for i in range(2 * _RESOLVE_CACHE_MAX):
+            engine.resolve(None, lam=1.0 + i)
+        assert len(engine._resolved) <= _RESOLVE_CACHE_MAX
+        gc.collect()
+        assert ref() is None
+        assert engine.resolve(ExecutionConfig(steps=3)).steps == 3
 
 
 # ----------------------------------------------------------------------

@@ -1,12 +1,18 @@
 """The plan-and-arena execution engine (core.plan + parallel.pool)."""
 
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from repro.algorithms.catalog import get_algorithm
+from repro.algorithms.catalog import get_algorithm, list_algorithms
 from repro.core.apa_matmul import apa_matmul
 from repro.core.backend import APABackend
+from repro.core import memory as memory_module
 from repro.core.batched import apa_matmul_batched
+from repro.core.memory import workspace_bytes
 from repro.core.plan import (
     PlanCache,
     configure_plan_cache,
@@ -32,21 +38,107 @@ def _operands(shape, dtype=np.float64, seed=7):
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("name", ["strassen222", "bini322"])
-@pytest.mark.parametrize("shape", [(32, 32, 32), (17, 13, 11)])
-@pytest.mark.parametrize("steps", [1, 2])
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_plan_matches_interpreter_bitwise(name, shape, steps, dtype):
-    alg = get_algorithm(name)
-    A, B = _operands(shape, dtype=dtype)
-    cold = apa_matmul(A, B, alg, steps=steps, plan_cache=False)
+def _unfed_rule():
+    """Strassen with output block C22 dropped: no product feeds it."""
+    from repro.algorithms.spec import BilinearAlgorithm
+    from repro.linalg.laurent import Laurent
+
+    alg = get_algorithm("strassen222")
+    W = alg.W.copy()
+    W[3, :] = [Laurent.const(0)] * alg.rank
+    return BilinearAlgorithm("strassen222-no-c22", 2, 2, 2,
+                             U=alg.U.copy(), V=alg.V.copy(), W=W)
+
+
+_UNFED = _unfed_rule()
+
+
+def _rule(name):
+    return _UNFED if name == _UNFED.name else get_algorithm(name)
+
+
+def _bitwise_cases():
+    """(rule, steps, shape, dtype, layout, gemm) inputs of the grid.
+
+    Every non-surrogate catalog rule at every step count whose unrolled
+    tape stays within 1000 gemms, on an exact and a ragged shape whose
+    last-step blocks are at least 2x2x2 (so the default budget stages
+    them block-major), each also forced onto views; a ``gemm=`` override
+    that keeps the dtype (float64) or upcasts (float32); the unfed-block
+    rule on the same grid; and exact and ragged shapes above the budget.
+    """
+    cases = []
+    for name in [*list_algorithms("real"), _UNFED.name]:
+        alg = _rule(name)
+        for steps in (1, 2, 3):
+            if alg.rank ** steps > 1000:
+                continue
+            um, un, uk = alg.m ** steps, alg.n ** steps, alg.k ** steps
+            shapes = {"exact": (2 * um, 2 * un, 2 * uk),
+                      "ragged": (2 * um + 1, 3 * un - 1, 2 * uk + 1)}
+            for label, shape in shapes.items():
+                for dtype in ("float32", "float64"):
+                    for layout in ("block-major", "views"):
+                        gemms = ("np", "override") if dtype == "float64" \
+                            else ("np", "upcast")
+                        for gemm in gemms:
+                            cases.append(pytest.param(
+                                name, steps, shape, dtype, layout, gemm,
+                                id=f"{name}-s{steps}-{label}-{dtype}-"
+                                   f"{layout}-{gemm}"))
+    # Over the budget: 3 * 600**2 float64 and 3 * 840**2 float32 blocks
+    # exceed BLOCK_MAJOR_BYTES, so the default layout is views.
+    for name, steps in (("strassen222", 1), ("bini322", 1),
+                        ("strassen222", 2), ("bini322", 2)):
+        for shape, dtype in (((600, 600, 600), "float64"),
+                             ((601, 599, 603), "float64"),
+                             ((840, 840, 840), "float32")):
+            cases.append(pytest.param(
+                name, steps, shape, dtype, "large", "np",
+                id=f"{name}-s{steps}-{'x'.join(map(str, shape))}-{dtype}"))
+    return cases
+
+
+def _copy_gemm(S, T):
+    return np.matmul(S, T)
+
+
+def _upcast_gemm(S, T):
+    # Returns float64 for float32 blocks: the ops after the product must
+    # combine this array, not its float32 copy in the arena.
+    return np.matmul(S.astype(np.float64), T.astype(np.float64))
+
+
+_GEMMS = {"np": None, "override": _copy_gemm, "upcast": _upcast_gemm}
+
+
+@pytest.mark.parametrize("name,steps,shape,dtype,layout,gemm",
+                         _bitwise_cases())
+def test_plan_matches_interpreter_bitwise(name, steps, shape, dtype, layout,
+                                          gemm, monkeypatch):
+    alg = _rule(name)
+    if layout == "views":
+        monkeypatch.setattr(memory_module, "BLOCK_MAJOR_BYTES", 0)
+    gemm = _GEMMS[gemm]
+    A, B = _operands(shape, dtype=np.dtype(dtype))
+    cold = apa_matmul(A, B, alg, lam=1e-3, steps=steps, gemm=gemm,
+                      plan_cache=False)
     cache = PlanCache()
-    warm1 = apa_matmul(A, B, alg, steps=steps, plan_cache=cache)
-    warm2 = apa_matmul(A, B, alg, steps=steps, plan_cache=cache)
+    warm1 = apa_matmul(A, B, alg, lam=1e-3, steps=steps, gemm=gemm,
+                       plan_cache=cache)
+    warm2 = apa_matmul(A, B, alg, lam=1e-3, steps=steps, gemm=gemm,
+                       plan_cache=cache)
     assert np.array_equal(cold, warm1)
     assert np.array_equal(warm1, warm2)
     stats = cache.stats()
     assert stats["misses"] == 1 and stats["hits"] == 1
+    plan = cache.plan_for(alg, *A.shape, B.shape[1], A.dtype, 1e-3,
+                          steps=steps)
+    assert plan.block_major == (layout == "block-major")
+    if name == _UNFED.name:
+        part = plan.partition
+        assert not cold[part.padded_rows_a // 2:,
+                        part.padded_cols_b // 2:].any()
 
 
 def test_plan_reuse_is_bit_identical_across_many_calls():
@@ -225,12 +317,121 @@ def test_workspace_pooling_reuses_one_arena():
     assert plan.workspaces_built == 1
 
 
-def test_plan_estimate_prices_the_arena():
-    alg = get_algorithm("bini322")
-    cache = PlanCache()
-    plan = cache.plan_for(alg, 24, 16, 20, np.float32, lam=1.0, steps=2)
+def _owned_bytes(ws):
+    """Summed nbytes of the distinct allocations a workspace holds."""
+    owners = {}
+    for a in (*ws.arrays.values(), ws.Ap, ws.Bp, ws.C):
+        if a is not None:
+            owner = a if a.base is None else a.base
+            owners[id(owner)] = owner
+    return sum(o.nbytes for o in owners.values())
+
+
+@pytest.mark.parametrize("name,shape,steps,dtype,block_major", [
+    ("strassen222", (16, 16, 16), 1, np.float64, True),
+    ("bini322", (24, 16, 20), 2, np.float32, True),
+    ("bini322", (64, 96, 10), 1, np.float32, True),
+    ("strassen222", (16, 16, 16), 1, np.float64, False),
+    ("bini322", (25, 17, 19), 2, np.float32, False),
+    ("laderman333", (27, 27, 27), 1, np.float64, False),
+])
+def test_plan_estimate_prices_the_arena(name, shape, steps, dtype,
+                                        block_major, monkeypatch):
+    # The estimate is exactly what one checked-out workspace allocates,
+    # and the §3.3 model bounds it with the same staging terms.
+    if not block_major:
+        monkeypatch.setattr(memory_module, "BLOCK_MAJOR_BYTES", 0)
+    alg = get_algorithm(name)
+    plan = PlanCache().plan_for(alg, *shape, dtype, lam=1e-2, steps=steps)
+    assert plan.block_major == block_major
     est = plan.estimate
-    assert est.total > 0
+    ws = plan.checkout()
+    try:
+        assert est.total == _owned_bytes(ws)
+    finally:
+        plan.release(ws)
+    model = workspace_bytes(alg, *shape, steps=steps,
+                            dtype_bytes=np.dtype(dtype).itemsize)
+    assert est.padded_inputs == model.padded_inputs
+    assert est.padded_output == model.padded_output
+    assert est.combination_buffers <= model.combination_buffers
+    assert est.product_buffers <= model.product_buffers
+
+
+def test_view_plans_without_padding_own_no_output_arena(monkeypatch):
+    monkeypatch.setattr(memory_module, "BLOCK_MAJOR_BYTES", 0)
+    alg = get_algorithm("strassen222")
+    plan = PlanCache().plan_for(alg, 32, 32, 32, np.float64, lam=1.0)
+    assert plan.estimate.padded_inputs == 0
+    assert plan.estimate.padded_output == 0
+    A, B = _operands((32, 32, 32))
+    C = plan.execute(A, B)
+    assert C.base is None and C.flags.c_contiguous
+    assert np.array_equal(C, apa_matmul(A, B, alg, lam=1.0,
+                                        plan_cache=False))
+
+
+@pytest.mark.parametrize("name,shape,steps", [
+    ("strassen222", (32, 32, 32), 1),
+    ("bini322", (64, 96, 10), 1),
+    ("bini322", (37, 29, 41), 2),
+    ("laderman333", (27, 18, 36), 1),
+])
+def test_block_major_staging_ignores_operand_memory_order(name, shape,
+                                                          steps):
+    # Staging copies values into the arena, so transposed or strided
+    # operands run the exact ops of their C-ordered copies.
+    alg = get_algorithm(name)
+    M, N, K = shape
+    plan = PlanCache().plan_for(alg, M, N, K, np.float32, lam=1e-3,
+                                steps=steps)
+    assert plan.block_major
+    gen = np.random.default_rng(1)
+    A = gen.standard_normal((N, M)).astype(np.float32).T
+    B = gen.standard_normal((N, 2 * K)).astype(np.float32)[:, ::2]
+    Ac, Bc = np.ascontiguousarray(A), np.ascontiguousarray(B)
+    C = plan.execute(A, B)
+    assert np.array_equal(C, plan.execute(Ac, Bc))
+    assert np.array_equal(C, apa_matmul(Ac, Bc, alg, lam=1e-3, steps=steps,
+                                        plan_cache=False))
+
+
+def test_concurrent_executions_never_share_an_arena():
+    # More threads than cores hammer one block-major plan with a tiny
+    # switch interval; a shared arena would mix operands between calls.
+    alg = get_algorithm("bini322")
+    shape = (48, 32, 40)
+    plan = PlanCache().plan_for(alg, *shape, np.float64, lam=1e-3)
+    assert plan.block_major
+    threads = 4 * (os.cpu_count() or 1)
+    operands = [_operands(shape, seed=s) for s in range(threads)]
+    expected = [apa_matmul(A, B, alg, lam=1e-3, plan_cache=False)
+                for A, B in operands]
+    mismatches = []
+    barrier = threading.Barrier(threads)
+
+    def worker(t):
+        A, B = operands[t]
+        barrier.wait(timeout=30)
+        for _ in range(40):
+            if not np.array_equal(plan.execute(A, B), expected[t]):
+                mismatches.append(t)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pool = [threading.Thread(target=worker, args=(t,))
+                for t in range(threads)]
+        for th in pool:
+            th.start()
+        for th in pool:
+            th.join(timeout=60)
+        assert not any(th.is_alive() for th in pool)
+    finally:
+        sys.setswitchinterval(interval)
+    assert mismatches == []
+    assert plan.executions == 40 * threads
+    assert plan.workspaces_built <= threads
 
 
 def test_plan_execute_validates_shapes():
