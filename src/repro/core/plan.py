@@ -1,4 +1,4 @@
-"""Cached execution plans compiled to op tapes (the hot-path engine).
+"""Cached execution plans compiled to op tapes (the one execution core).
 
 The interpreter in :mod:`repro.core.apa_matmul` is correct but pays per
 call for work that depends only on ``(algorithm, shape, dtype, lambda,
@@ -12,11 +12,18 @@ shapes), so an :class:`ExecutionPlan` precomputes all of it once:
 - the block partition and padded dims;
 - the numeric ``(Un, Vn, Wn)`` (via the spec's memoized ``evaluate``)
   and per-multiplication nonzero term lists;
-- for sequential plans, an **op tape**: the paper's §3 straight-line
-  program — write-once combinations, ``r`` gemms, output combinations —
-  unrolled over every recursion step into a flat tuple of
-  ``(fn, args)`` numpy calls;
+- an **op tape**: the paper's §3 straight-line program — write-once
+  combinations, ``r`` gemms, output combinations — unrolled over every
+  recursion step into flat tuples of ``(fn, args)`` numpy calls;
 - pooled workspace arenas the tape is bound to.
+
+Every runner executes that tape.  A **threaded** plan (the thread and
+process runners of :mod:`repro.parallel`, which own the §3.2 schedule)
+is lowered to one *job* per outer multiplication — ``S_i``/``T_i``, then
+``M_i`` with every inner step unrolled, into buffers allocated per job
+call — plus one *scatter* segment that combines the ``r`` products into
+``C``.  A **batched** plan's tape is bound to stacks of matrices, so
+every gemm op is a batched gemm.
 
 Lowering keeps the interpreter's arithmetic, term order and dtype
 exactly, so results are bit-identical (for C-ordered operands: BLAS
@@ -31,7 +38,7 @@ arithmetic:
 - a single coefficient-1 term is never copied: the next level (or the
   gemm) reads the block itself, at every recursion level.
 
-Two arena layouts, chosen per plan by size:
+Two arena layouts for sequential plans, chosen by size:
 
 - **block-major** (staged ``A + B + C`` within
   :data:`repro.core.memory.BLOCK_MAJOR_BYTES`, see
@@ -41,10 +48,11 @@ Two arena layouts, chosen per plan by size:
   down to the gemm operands of the last step — is a contiguous block
   bound once per workspace; the result is copied out of its arena into
   a fresh array;
-- **views** (larger plans): level-0 operands stay zero-copy views of the
-  caller's arrays (padded arena copies only for ragged shapes), re-sliced
-  per call from the tape's precomputed slices; unpadded products are
-  written straight into a fresh output array.
+- **views** (larger plans, and every threaded or batched plan): level-0
+  operands stay zero-copy views of the caller's arrays (padded arena
+  copies only for ragged shapes), re-sliced per call from the tape's
+  precomputed slices; unpadded products are written straight into a
+  fresh output array.
 
 Either way the caller gets a fresh array that aliases no arena.
 Workspaces are checked out per call from a small free list, so one plan
@@ -64,12 +72,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.algorithms.spec import AlgorithmLike
-from repro.core.memory import (
-    WorkspaceEstimate,
-    uses_block_major,
-    workspace_bytes,
-)
-from repro.linalg.blocking import BlockPartition, split_blocks
+from repro.core.memory import WorkspaceEstimate, uses_block_major
+from repro.linalg.blocking import BlockPartition
 from repro.obs import tracer as _obs_tracer
 from repro.robustness.events import EventLog
 from repro.types import GemmFn
@@ -109,8 +113,6 @@ class PlanKey:
     lam: float
     steps: int
     mode: str
-    strategy: str
-    threads: int
 
 
 def term_lists(
@@ -140,23 +142,19 @@ def term_lists(
     return s_terms, t_terms, w_terms
 
 
-def _flatten(X: np.ndarray, rows: int, cols: int) -> list[np.ndarray]:
-    grid = split_blocks(X, rows, cols)
-    return [grid[i][j] for i in range(rows) for j in range(cols)]
-
-
 # ----------------------------------------------------------------------
 # the op tape
 # ----------------------------------------------------------------------
 
 
 class _Tape:
-    """A compiled sequential plan: ops plus the buffers they address.
+    """A compiled op sequence plus the buffers it addresses.
 
     ``ops`` is a tuple of ``(fn, args)``; each arg is either a numpy
     scalar or an address ``(buffer, index)`` naming the block
     ``arrays[buffer][index]``.  ``buffers`` maps every buffer name the
-    ops use to its array shape: the roots ``"A"``, ``"B"``, ``"C"``, the
+    ops use to its array shape: roots (``"A"``, ``"B"``, ``"C"``, a
+    job's product ``"M"``, the scatter's products ``("M", i)``), the
     per-level combination and product slots ``("S"|"T"|"P", level)``,
     and scratch ``("X", *shape)`` views that share one allocation.
     ``reads`` maps the index of each gemm op to the ``(op index, arg
@@ -170,22 +168,32 @@ class _Tape:
         self.buffers = buffers
         self.reads = reads
 
-    def bind(self, arrays: dict) -> list:
-        """Resolve every address against concrete buffers."""
+    def bind(self, arrays: dict, lead: tuple = ()) -> list:
+        """Resolve every address against concrete buffers.
+
+        ``lead`` prefixes every index: ``(Ellipsis,)`` binds a views
+        tape to stacks of matrices, so each op runs over the stack.
+        """
         return [
             (fn, tuple([a if isinstance(a, np.generic)
-                        else arrays[a[0]][a[1]] for a in args]))
+                        else arrays[a[0]][lead + a[1]] for a in args]))
             for fn, args in self.ops
         ]
 
-    def allocate(self, dtype: np.dtype, roots: bool) -> dict:
-        """Fresh arena buffers for this tape (roots only if asked)."""
+    def allocate(self, dtype: np.dtype, roots: bool,
+                 batch: tuple = ()) -> dict:
+        """Fresh slot and scratch buffers (zeroed roots only if asked).
+
+        ``batch`` prefixes every shape (see :meth:`bind`).
+        """
         arrays = {}
-        scratch = np.empty(_scratch_elements(self.buffers), dtype=dtype)
+        scratch = np.empty(
+            math.prod(batch) * _scratch_elements(self.buffers), dtype=dtype)
         for name, shape in self.buffers.items():
+            shape = batch + shape
             if name[0] == "X":
                 arrays[name] = scratch[:math.prod(shape)].reshape(shape)
-            elif isinstance(name, tuple):
+            elif name[0] in ("S", "T", "P"):
                 arrays[name] = np.empty(shape, dtype=dtype)
             elif roots:
                 # Padding margins are written once here and never again.
@@ -227,17 +235,21 @@ def _run(ops: list, gemm: GemmFn | None, reads: dict) -> None:
             fn(*args)
 
 
-def _compile(plan: ExecutionPlan, block_major: bool) -> _Tape:
-    """Lower a sequential plan, every step unrolled, to an op tape.
+def _compile(plan: ExecutionPlan, block_major: bool = False):
+    """Lower a plan, every step unrolled.
 
     Mirrors the interpreter term for term: per multiplication the ``S``
     and ``T`` combinations, the product (a gemm, or the next level's
     ops), then its output terms in block order.  Output blocks no
-    multiplication feeds are zeroed last.
+    multiplication feeds are zeroed last.  A sequential or batched plan
+    is one :class:`_Tape`.  A threaded plan is ``(jobs, scatter)``: one
+    :class:`_Job` per outer multiplication, and a tape that combines
+    the products, roots ``("M", i)``, into ``C`` in multiplication order.
     """
     part = plan.partition
     m, n, k = part.m, part.n, part.k
-    steps = plan.key.steps
+    steps = part.steps
+    Mp, Np, Kp = part.padded_rows_a, part.padded_cols_a, part.padded_cols_b
     buffers: dict = {}
     ops: list = []
     reads: dict = {}
@@ -314,19 +326,49 @@ def _compile(plan: ExecutionPlan, block_major: bool) -> _Tape:
             accumulate(out, blocks[idx], c)
         return out
 
-    Mp, Np, Kp = part.padded_rows_a, part.padded_cols_a, part.padded_cols_b
+    def block(lvl):
+        """Block dims at level ``lvl`` and the steps left below it."""
+        return (Mp // m ** (lvl + 1), Np // n ** (lvl + 1),
+                Kp // k ** (lvl + 1), steps - lvl - 1)
+
+    def operands(lvl, i, a_blocks, b_blocks):
+        bm, bn, bk, depth = block(lvl)
+        return (combine(plan.s_terms[i], a_blocks,
+                        lambda: root(("S", lvl), bm, bn, m, n, depth)),
+                combine(plan.t_terms[i], b_blocks,
+                        lambda: root(("T", lvl), bn, bk, n, k, depth)))
+
+    def product(lvl, S, T, M):
+        if lvl == steps - 1:
+            emit(_matmul, S, T, M)
+        else:
+            level(lvl + 1, children(S, m, n), children(T, n, k), M)
+
+    def scatter(terms, M, c_blocks, written, skip=None):
+        for q, w in terms:
+            if q == skip:
+                continue
+            if written[q]:
+                accumulate(c_blocks[q], M, w)
+            elif w == 1:
+                emit(np.copyto, c_blocks[q], M)
+            else:
+                emit(np.multiply, M, w, c_blocks[q])
+            written[q] = True
+
+    def zero_unfed(c_blocks, written):
+        # Output blocks no multiplication feeds (possible for padded
+        # partitions of degenerate rules) must not leak stale memory.
+        for q, done in enumerate(written):
+            if not done:
+                emit(np.copyto, c_blocks[q], zero)
 
     def level(lvl, a_blocks, b_blocks, out):
-        depth = steps - lvl - 1
-        bm, bn, bk = (Mp // m ** (lvl + 1), Np // n ** (lvl + 1),
-                      Kp // k ** (lvl + 1))
+        bm, _, bk, depth = block(lvl)
         c_blocks = children(out, m, k)
         written = [False] * len(c_blocks)
         for i in range(plan.rank):
-            S = combine(plan.s_terms[i], a_blocks,
-                        lambda: root(("S", lvl), bm, bn, m, n, depth))
-            T = combine(plan.t_terms[i], b_blocks,
-                        lambda: root(("T", lvl), bn, bk, n, k, depth))
+            S, T = operands(lvl, i, a_blocks, b_blocks)
             target = next((q for q, w in plan.w_terms[i]
                            if w == 1 and not written[q]), None)
             if target is None:
@@ -334,37 +376,104 @@ def _compile(plan: ExecutionPlan, block_major: bool) -> _Tape:
             else:
                 M = c_blocks[target]
                 written[target] = True
-            if depth == 0:
-                emit(_matmul, S, T, M)
-            else:
-                level(lvl + 1, children(S, m, n), children(T, n, k), M)
+            product(lvl, S, T, M)
             first = len(ops)
-            for q, w in plan.w_terms[i]:
-                if q == target:
-                    continue
-                if written[q]:
-                    accumulate(c_blocks[q], M, w)
-                elif w == 1:
-                    emit(np.copyto, c_blocks[q], M)
-                else:
-                    emit(np.multiply, M, w, c_blocks[q])
-                written[q] = True
+            scatter(plan.w_terms[i], M, c_blocks, written, skip=target)
             if depth == 0:
                 reads[first - 1] = tuple(
                     (j, pos) for j in range(first, len(ops))
                     if (pos := tuple(p for p, a in enumerate(ops[j][1])
                                      if isinstance(a, tuple) and a == M)))
-        # Output blocks no multiplication feeds (possible for padded
-        # partitions of degenerate rules) must not leak stale memory.
-        for q, done in enumerate(written):
-            if not done:
-                emit(np.copyto, c_blocks[q], zero)
+        zero_unfed(c_blocks, written)
 
-    A = root("A", Mp, Np, m, n, steps)
-    B = root("B", Np, Kp, n, k, steps)
-    C = root("C", Mp, Kp, m, k, steps)
-    level(0, children(A, m, n), children(B, n, k), C)
-    return _Tape(tuple(ops), buffers, reads)
+    a_blocks = children(root("A", Mp, Np, m, n, steps), m, n)
+    b_blocks = children(root("B", Np, Kp, n, k, steps), n, k)
+    if plan.key.mode != "threaded":
+        level(0, a_blocks, b_blocks, root("C", Mp, Kp, m, k, steps))
+        return _Tape(tuple(ops), buffers, reads)
+    bm, _, bk, depth = block(0)
+    jobs = []
+    for i in range(plan.rank):
+        # The closures above see each rebinding of buffers/ops/reads.
+        buffers, ops, reads = {}, [], {}
+        S, T = operands(0, i, a_blocks, b_blocks)
+        combined, ops = _Tape(tuple(ops), buffers, {}), []
+        product(0, S, T, root("M", bm, bk, m, k, depth))
+        jobs.append(_Job(combined, _Tape(tuple(ops), buffers, reads), S, T))
+    buffers, ops = {}, []
+    c_blocks = children(root("C", Mp, Kp, m, k, steps), m, k)
+    written = [False] * len(c_blocks)
+    for i in range(plan.rank):
+        scatter(plan.w_terms[i], root(("M", i), bm, bk, m, k, depth),
+                c_blocks, written)
+    zero_unfed(c_blocks, written)
+    return tuple(jobs), _Tape(tuple(ops), buffers, {})
+
+
+@dataclass(slots=True)
+class _Call:
+    """One job bound to one call's arrays (see :meth:`_Job.bind`)."""
+
+    combine_ops: list
+    product_ops: list
+    reads: dict
+    S: np.ndarray
+    T: np.ndarray
+    M: np.ndarray
+
+    def combine(self) -> None:
+        """Write ``S_i`` and ``T_i``."""
+        for fn, args in self.combine_ops:
+            fn(*args)
+
+    def product(self, gemm: GemmFn | None = None) -> np.ndarray:
+        """``S_i @ T_i`` into ``M``, returned.
+
+        Under a ``gemm`` override a bare-gemm product (no inner level,
+        so no ``reads``) is the override's own result, uncast, which the
+        scatter combines as the interpreter does.
+        """
+        if gemm is not None and not self.reads:
+            return gemm(self.S, self.T)
+        _run(self.product_ops, gemm, self.reads)
+        return self.M
+
+    def classical(self) -> np.ndarray:
+        """The block by classical gemm: the failure ladder's last rung."""
+        return np.matmul(self.S, self.T, out=self.M)
+
+
+@dataclass(frozen=True)
+class _Job:
+    """One outer multiplication ``i`` of a threaded plan, lowered.
+
+    ``combine`` writes ``S_i`` and ``T_i`` (a lone unit term names its
+    block of ``A``/``B`` instead); ``product`` computes ``M_i = S_i @
+    T_i`` into the root ``"M"``: one gemm, or every inner step unrolled.
+    The two tapes share one ``buffers`` map.  A job holds only numpy
+    functions, scalars and addresses, so it pickles to a worker process.
+    """
+
+    combine: _Tape
+    product: _Tape
+    S: tuple
+    T: tuple
+
+    def bind(self, A: np.ndarray, B: np.ndarray,
+             M: np.ndarray | None = None) -> _Call:
+        """Bind to staged operands and the product block ``M``; every
+        other buffer (``M`` too, when not given) is fresh for this call.
+
+        Run ``combine()``, then ``product(gemm)`` or ``classical()``;
+        the products feed :meth:`ExecutionPlan.scatter`.
+        """
+        if M is None:
+            M = np.empty(self.product.buffers["M"], dtype=A.dtype)
+        arrays = self.combine.allocate(M.dtype, roots=False)
+        arrays.update(A=A, B=B, M=M)
+        return _Call(self.combine.bind(arrays), self.product.bind(arrays),
+                     self.product.reads, arrays[self.S[0]][self.S[1]],
+                     arrays[self.T[0]][self.T[1]], M)
 
 
 # ----------------------------------------------------------------------
@@ -428,24 +537,27 @@ def _boxes(arena: np.ndarray, rows: int, cols: int, padded_rows: int,
 
 
 class _Workspace:
-    """One call's worth of arena buffers for a sequential plan.
+    """One call's worth of pooled arena buffers.
 
     Checked out of the plan's free list for the duration of a call, so
     concurrent executions of the same plan never share a buffer.
     Block-major workspaces hold their tape bound to their own arenas
     (``ops``) and the staging boxes; view workspaces hold only the
-    combination/product slots plus padded staging and output when the
-    shape is ragged.
+    tape's slots (a threaded plan's: the scatter's scratch) plus padded
+    staging and output when the shape is ragged; ``batch`` prefixes
+    every shape (one batched call's buffers).
     """
 
     __slots__ = ("arrays", "ops", "a_boxes", "b_boxes", "c_boxes",
-                 "Ap", "Bp", "C")
+                 "Ap", "Bp", "C", "batch")
 
-    def __init__(self, plan: ExecutionPlan) -> None:
+    def __init__(self, plan: ExecutionPlan, batch: tuple = ()) -> None:
         part = plan.partition
         key = plan.key
         tape = plan._tape
-        self.arrays = tape.allocate(plan.dtype, roots=plan.block_major)
+        self.batch = batch
+        self.arrays = tape.allocate(plan.dtype, roots=plan.block_major,
+                                    batch=batch)
         self.ops = self.a_boxes = self.b_boxes = self.c_boxes = None
         self.Ap = self.Bp = self.C = None
         Mp, Np, Kp = (part.padded_rows_a, part.padded_cols_a,
@@ -461,37 +573,11 @@ class _Workspace:
                                   Mp, Kp, m, k, steps)
             return
         if plan.pads_a:
-            self.Ap = np.zeros((Mp, Np), dtype=plan.dtype)
+            self.Ap = np.zeros(batch + (Mp, Np), dtype=plan.dtype)
         if plan.pads_b:
-            self.Bp = np.zeros((Np, Kp), dtype=plan.dtype)
+            self.Bp = np.zeros(batch + (Np, Kp), dtype=plan.dtype)
         if plan.pads_c:
-            self.C = np.empty((Mp, Kp), dtype=plan.dtype)
-
-
-class _ThreadedWorkspace:
-    """Staged operands and padded output for the threaded executor.
-
-    The executor keeps all ``r`` products alive itself; only staging
-    and the output arena are pooled here.
-    """
-
-    __slots__ = ("Ap", "Bp", "C", "a_blocks", "b_blocks", "c_blocks")
-
-    def __init__(self, plan: ExecutionPlan) -> None:
-        part = plan.partition
-        m, n, k = part.m, part.n, part.k
-        Mp, Np, Kp = (part.padded_rows_a, part.padded_cols_a,
-                      part.padded_cols_b)
-        self.Ap = np.zeros((Mp, Np), dtype=plan.dtype) if plan.pads_a \
-            else None
-        self.Bp = np.zeros((Np, Kp), dtype=plan.dtype) if plan.pads_b \
-            else None
-        self.C = [np.empty((Mp, Kp), dtype=plan.dtype)]
-        self.a_blocks = [
-            _flatten(self.Ap, m, n) if self.Ap is not None else None]
-        self.b_blocks = [
-            _flatten(self.Bp, n, k) if self.Bp is not None else None]
-        self.c_blocks = [_flatten(self.C[0], m, k)]
+            self.C = np.empty(batch + (Mp, Kp), dtype=plan.dtype)
 
 
 # ----------------------------------------------------------------------
@@ -529,18 +615,17 @@ class ExecutionPlan:
         self.rank = algorithm.rank
         self.s_terms, self.t_terms, self.w_terms = term_lists(
             self.Un, self.Vn, self.Wn)
-        self.schedule = None
         self.block_major = False
-        self._tape: _Tape | None = None
+        #: Threaded plans: one :class:`_Job` per outer multiplication;
+        #: their ``_tape`` is the scatter segment.
+        self.jobs: tuple[_Job, ...] = ()
         if key.mode == "threaded":
-            from repro.parallel.strategy import build_schedule
-
-            self.schedule = build_schedule(self.rank, key.threads,
-                                           key.strategy)
-        elif key.mode == "sequential":
-            self.block_major = uses_block_major(
-                algorithm, key.rows_a, key.cols_a, key.cols_b,
-                steps=key.steps, dtype_bytes=self.dtype.itemsize)
+            self.jobs, self._tape = _compile(self)
+        else:
+            if key.mode == "sequential":
+                self.block_major = uses_block_major(
+                    algorithm, key.rows_a, key.cols_a, key.cols_b,
+                    steps=key.steps, dtype_bytes=self.dtype.itemsize)
             self._tape = _compile(self, self.block_major)
         self._free: list = []
         self._lock = threading.Lock()
@@ -555,17 +640,12 @@ class ExecutionPlan:
     def estimate(self) -> WorkspaceEstimate:
         """The arena footprint of one workspace (the §3.3 model's terms).
 
-        Sequential plans price their compiled tape exactly — what one
-        checked-out workspace allocates; other modes use
-        :func:`repro.core.memory.workspace_bytes`.
+        Priced from the compiled tape: exactly what one checked-out
+        workspace allocates.  A threaded plan's workspace holds staging,
+        the output arena and the scatter's scratch; its job buffers are
+        allocated per job call and are not part of it.  A batched plan
+        prices the per-call buffers of one stack item.
         """
-        if self._tape is None:
-            return workspace_bytes(
-                self.algorithm, self.key.rows_a, self.key.cols_a,
-                self.key.cols_b, steps=self.key.steps,
-                dtype_bytes=self.dtype.itemsize,
-                parallel=self.key.mode == "threaded",
-            )
         item = self.dtype.itemsize
         sizes = {name: math.prod(shape) * item
                  for name, shape in self._tape.buffers.items()}
@@ -598,8 +678,6 @@ class ExecutionPlan:
             if self._free:
                 return self._free.pop()
             self.workspaces_built += 1
-        if self.key.mode == "threaded":
-            return _ThreadedWorkspace(self)
         return _Workspace(self)
 
     def release(self, ws) -> None:
@@ -619,7 +697,7 @@ class ExecutionPlan:
         ragged operands into their padded arenas and return the caller's
         arrays otherwise.
         """
-        if getattr(ws, "a_boxes", None) is not None:
+        if ws.a_boxes is not None:
             for sl, shape, dst in ws.a_boxes:
                 np.copyto(dst, A[sl].reshape(shape))
             for sl, shape, dst in ws.b_boxes:
@@ -628,12 +706,12 @@ class ExecutionPlan:
         if ws.Ap is None:
             Ap = A
         else:
-            ws.Ap[: self.key.rows_a, : self.key.cols_a] = A
+            ws.Ap[..., : self.key.rows_a, : self.key.cols_a] = A
             Ap = ws.Ap
         if ws.Bp is None:
             Bp = B
         else:
-            ws.Bp[: self.key.cols_a, : self.key.cols_b] = B
+            ws.Bp[..., : self.key.cols_a, : self.key.cols_b] = B
             Bp = ws.Bp
         return Ap, Bp
 
@@ -687,16 +765,55 @@ class ExecutionPlan:
                     np.copyto(C[sl].reshape(shape), src)
                 return C
             Ap, Bp = self.stage(ws, A, B)
-            C = ws.C if ws.C is not None else np.empty(
-                (key.rows_a, key.cols_b), dtype=self.dtype)
-            _run(self._tape.bind({**ws.arrays, "A": Ap, "B": Bp, "C": C}),
-                 gemm, self._tape.reads)
-            if ws.C is None:
-                return C
-            # The arena C is reused by the next call: copy out.
-            return np.array(C[: key.rows_a, : key.cols_b])
+            return self._run_views(ws, {"A": Ap, "B": Bp}, gemm)
         finally:
             self.release(ws)
+
+    def _run_views(self, ws, arrays: dict,
+                   gemm: GemmFn | None) -> np.ndarray:
+        """Bind the views tape per call; ``C`` is the arena when ragged,
+        else a fresh result."""
+        key = self.key
+        C = ws.C if ws.C is not None else np.empty(
+            ws.batch + (key.rows_a, key.cols_b), dtype=self.dtype)
+        _run(self._tape.bind({**ws.arrays, **arrays, "C": C},
+                             lead=(Ellipsis,) if ws.batch else ()),
+             gemm, self._tape.reads)
+        if ws.C is None:
+            return C
+        # The arena C is reused by the next call: copy out.
+        return np.array(C[..., : key.rows_a, : key.cols_b])
+
+    # ------------------------------------------------------------------
+    # threaded execution: the runners schedule the jobs
+    # ------------------------------------------------------------------
+
+    def scatter(self, ws, products: list) -> np.ndarray:
+        """A threaded plan's scatter segment: ``C`` from the ``r``
+        products, in multiplication order.  Returns a fresh array."""
+        return self._run_views(
+            ws, {("M", i): M for i, M in enumerate(products)}, None)
+
+    # ------------------------------------------------------------------
+    # batched execution
+    # ------------------------------------------------------------------
+
+    def execute_batched(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        """``A[b] @ B[b]`` for every item of two stacks (batched mode).
+
+        The views tape is bound to the 3-D operands, so every
+        combination runs over the whole stack and every gemm op is a
+        batched gemm.  Returns a fresh array.
+        """
+        key = self.key
+        if key.mode != "batched" \
+                or A.shape[1:] != (key.rows_a, key.cols_a) \
+                or B.shape != (A.shape[0], key.cols_a, key.cols_b):
+            raise ValueError(f"operands {A.shape} @ {B.shape} do not fit "
+                             f"this {key.mode} plan's key")
+        ws = _Workspace(self, batch=A.shape[:1])
+        Ap, Bp = self.stage(ws, A, B)
+        return self._run_views(ws, {"A": Ap, "B": Bp}, None)
 
 
 class PlanCache:
@@ -729,8 +846,6 @@ class PlanCache:
         lam: float,
         steps: int = 1,
         mode: str = "sequential",
-        strategy: str = "none",
-        threads: int = 1,
     ) -> ExecutionPlan:
         """Get-or-build the plan for a fully resolved configuration.
 
@@ -741,7 +856,7 @@ class PlanCache:
         dtype = np.dtype(dtype)
         lam = float(lam)
         fast = (id(algorithm), rows_a, cols_a, cols_b, dtype, lam, steps,
-                mode, strategy, threads)
+                mode)
         tracer = _obs_tracer.ACTIVE
         with self._lock:
             plan = self._plans.get(fast)
@@ -757,8 +872,7 @@ class PlanCache:
         key = PlanKey(
             algorithm=algorithm.name, alg_id=id(algorithm),
             rows_a=rows_a, cols_a=cols_a, cols_b=cols_b,
-            dtype=dtype.str, lam=lam, steps=steps,
-            mode=mode, strategy=strategy, threads=threads,
+            dtype=dtype.str, lam=lam, steps=steps, mode=mode,
         )
         # Build outside the lock: plan construction evaluates
         # coefficients and allocates nothing shared, so a rare duplicate
@@ -860,9 +974,11 @@ def configure_plan_cache(maxsize: int = 64,
 def resolve_plan_cache(plan_cache) -> PlanCache | None:
     """Normalize the ``plan_cache`` argument the hot paths accept.
 
-    ``None`` means the process default, ``False`` disables the plan
-    engine (pure interpreter, the pre-plan behavior), and a
-    :class:`PlanCache` instance is used as-is.
+    ``None`` means the process default, ``False`` no cache, and a
+    :class:`PlanCache` instance is used as-is.  Without a cache the
+    sequential path runs the per-call interpreter (the pre-plan
+    behavior) and the thread, process and batched runners build an
+    uncached plan.
     """
     if plan_cache is None:
         return default_plan_cache()

@@ -7,6 +7,13 @@ the ``q`` balanced rounds run ``p`` single-threaded gemms concurrently
 ``threadpoolctl`` for exact correspondence), and the remainder
 multiplications run one at a time letting BLAS use all its threads.
 
+The arithmetic is the threaded plan's op tape (:mod:`repro.core.plan`):
+each scheduled job binds its segment — ``S_i``/``T_i``, then the
+product ``M_i`` with every inner step unrolled — to the staged operands
+and fresh job-local buffers, inside the failure ladder this module
+shares with the process worker; after the last phase the caller runs
+the scatter segment that combines the ``r`` products into ``C``.
+
 On the single-core CI host this degrades gracefully to sequential
 execution (and the performance *figures* come from the simulator, see
 DESIGN.md §2) — but the code path, schedule handling, and numerics are
@@ -21,9 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.apa_matmul import linear_combination
 from repro.core.engine import _run_sequential, default_engine
-from repro.linalg.blocking import BlockPartition, split_blocks
+from repro.core.plan import PlanCache, resolve_plan_cache
 from repro.obs import tracer as _obs_tracer
 from repro.parallel.backoff import BackoffPolicy
 from repro.parallel.pool import get_pool
@@ -39,11 +45,6 @@ _ENGINE = default_engine()
 #: Retry pacing when the caller does not supply a policy: short enough
 #: not to matter against a gemm, long enough to ride out a transient.
 DEFAULT_BACKOFF = BackoffPolicy(base=0.001, cap=0.050)
-
-
-def _flatten(X: np.ndarray, rows: int, cols: int) -> list[np.ndarray]:
-    grid = split_blocks(X, rows, cols)
-    return [grid[i][j] for i in range(rows) for j in range(cols)]
 
 
 @dataclass(frozen=True)
@@ -92,8 +93,108 @@ class ExecutionReport:
         return [j for j in self.jobs if j.status != "ok"]
 
 
-class _WorkerNonFinite(ArithmeticError):
-    """Internal: a worker's block came back with NaN/Inf entries."""
+class _NonFiniteBlock(ArithmeticError):
+    """Internal: a job's block came back with NaN/Inf entries."""
+
+
+def _run_ladder(product, fallback, key: int, retries: int,
+                check_finite: bool, policy: BackoffPolicy,
+                delays: list[float] | None = None,
+                emit=None) -> tuple:
+    """The retry → backoff → classical ladder around one job's product.
+
+    ``product()`` gets up to ``retries + 1`` attempts; a raise (or, with
+    ``check_finite``, a NaN/Inf block) burns one, and each retry first
+    sleeps the next delay of ``policy``'s sequence for ``key`` (appended
+    to ``delays``).  When every attempt failed, ``fallback()`` — classical
+    gemm — computes the block.  A :class:`Warning` is never a gemm
+    failure: one raised as an error (``-W error``) propagates.
+    ``emit(kind, detail, attempt)`` receives the ladder's events.
+
+    Shared by the thread runner and the process worker.  Returns
+    ``(block, status, attempts, error_text)``.
+    """
+    error_text = ""
+    backoff = None
+    for attempt in range(1, retries + 2):
+        try:
+            M = product()
+            if check_finite and not np.isfinite(M).all():
+                raise _NonFiniteBlock("block contains NaN/Inf")
+        except Warning:
+            raise
+        except Exception as exc:
+            error_text = f"{type(exc).__name__}: {exc}"
+            if emit is not None:
+                emit("worker-nonfinite" if isinstance(exc, _NonFiniteBlock)
+                     else "worker-error", error_text, attempt)
+            if attempt <= retries:
+                # Back off before the retry: immediate re-runs fail for
+                # the same transient reason, and jitter keeps concurrent
+                # retriers desynchronized.  Keyed by the mult index so
+                # each job's schedule is independent and reproducible.
+                if backoff is None:
+                    backoff = policy.sequence(key=key)
+                delay = backoff.wait()
+                if delays is not None:
+                    delays.append(delay)
+                if emit is not None:
+                    emit("backoff", f"slept {delay * 1e3:.3f} ms before "
+                         "retry", attempt)
+                    emit("retry", f"attempt {attempt + 1} of {retries + 1}",
+                         attempt)
+            continue
+        return M, ("ok" if attempt == 1 else "retried"), attempt, ""
+    # All attempts failed: classical gemm for this block only.
+    if emit is not None:
+        emit("job-fallback", "classical gemm recomputed the block", 0)
+    return fallback(), "fallback", retries + 1, error_text
+
+
+def _scheduled_plan(A: np.ndarray, B: np.ndarray, algorithm, workers: int,
+                    lam: float | None, strategy: str,
+                    schedule: Schedule | None, steps: int, retries: int,
+                    timeout: float | None, plan_cache, runner: str) -> tuple:
+    """Validate a scheduled call: ``(lam, plan, schedule)``.
+
+    Shared by the thread and process runners; ``workers`` is the thread
+    or process count.  ``lam`` defaults to the dtype's optimum.  The
+    plan is ``None`` for operands it cannot take (not matching floats):
+    those run on the interpreter, as ``apa_matmul`` routes them.
+    """
+    if algorithm.is_surrogate:
+        raise ValueError(
+            f"{algorithm.name!r} is a metadata surrogate; real {runner} "
+            "execution needs full coefficients (use the simulator for it)"
+        )
+    if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0]:
+        raise ValueError(f"bad operand shapes {A.shape} @ {B.shape}")
+    if workers < 1:
+        count = "workers" if runner == "process" else "threads"
+        raise ValueError(f"{count} must be >= 1")
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    if retries < 0:
+        raise ValueError("retries must be >= 0")
+    if timeout is not None and timeout <= 0:
+        raise ValueError("timeout must be positive")
+
+    from repro.core.lam import optimal_lambda, precision_bits
+
+    dtype = np.result_type(A.dtype, B.dtype)
+    if lam is None:
+        d = precision_bits(dtype) if dtype.kind == "f" else 52
+        lam = optimal_lambda(algorithm, d=d, steps=steps)
+    if A.dtype != B.dtype or A.dtype.kind != "f":
+        return lam, None, schedule
+    cache = resolve_plan_cache(plan_cache)
+    if cache is None:
+        cache = PlanCache(maxsize=1)
+    plan = cache.plan_for(algorithm, A.shape[0], A.shape[1], B.shape[1],
+                          A.dtype, lam, steps=steps, mode="threaded")
+    if schedule is None:
+        schedule = build_schedule(plan.rank, workers, strategy)
+    return lam, plan, schedule
 
 
 def threaded_apa_matmul(
@@ -130,11 +231,14 @@ def threaded_apa_matmul(
 
     Worker threads come from the process-wide persistent pool
     (:func:`repro.parallel.pool.get_pool`), so repeated calls pay no
-    thread spawn/teardown.  The partition, coefficients, schedule, and
-    staging/output arenas are reused through the plan cache exactly as
-    in :func:`~repro.core.apa_matmul.apa_matmul` (``plan_cache=False``
-    restores the per-call build; an explicit ``schedule`` also bypasses
-    the cache since custom schedules are not part of the plan key).
+    thread spawn/teardown.  The compiled plan and its staging/output
+    arenas are reused through the plan cache as in
+    :func:`~repro.core.apa_matmul.apa_matmul` (``plan_cache=False``
+    builds an uncached plan).  The schedule only decides where jobs
+    run, so calls that differ only in ``strategy``/``schedule`` share
+    one plan.  Operands that are not matching floats run on the
+    interpreter, as :func:`~repro.core.apa_matmul.apa_matmul` routes
+    them.
 
     Failure handling (the guarded-execution contract): a job whose gemm
     raises is retried up to ``retries`` times — each retry waits a
@@ -142,7 +246,8 @@ def threaded_apa_matmul(
     overridable via ``report.backoff``; the slept delays land in
     ``report.backoff_delays``) — and then recomputed with classical
     gemm — only the failed sub-multiplication loses its speedup, the
-    call still returns.  ``check_finite=True`` additionally
+    call still returns.  A :class:`Warning` raised as an error is never
+    a gemm failure: it propagates.  ``check_finite=True`` additionally
     treats a NaN/Inf block as a failure.  ``timeout`` (seconds, threaded
     path only) bounds each job's wall-clock; an overrunning worker's
     block is recomputed classically in the caller thread (the stale
@@ -178,86 +283,13 @@ def _threaded_matmul_impl(
     enforces it); everything else goes through the engine so tracing,
     guarding, and fault injection stay layered at one point.
     """
-    if algorithm.is_surrogate:
-        raise ValueError(
-            f"{algorithm.name!r} is a metadata surrogate; real threaded "
-            "execution needs full coefficients (use the simulator for it)"
-        )
-    if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0]:
-        raise ValueError(f"bad operand shapes {A.shape} @ {B.shape}")
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    if gemm is None:
-        gemm = np.matmul
-
-    from repro.core.lam import optimal_lambda, precision_bits
-
-    dtype = np.result_type(A.dtype, B.dtype)
-    if lam is None:
-        d = precision_bits(dtype) if dtype.kind == "f" else 52
-        lam = optimal_lambda(algorithm, d=d, steps=steps)
-
-    if steps > 1:
-        # Inner levels run sequentially inside each scheduled job.  They
-        # go through the engine's sequential runner (not the public
-        # shim) so an active execution_context cannot re-thread the
-        # recursion from inside a pool worker.
-        inner_gemm = gemm
-
-        def gemm(S, T, _inner=inner_gemm):  # noqa: F811
-            return _run_sequential(S, T, algorithm, lam, steps - 1,
-                                   _inner, None, None)
-
-    if retries < 0:
-        raise ValueError("retries must be >= 0")
-    if timeout is not None and timeout <= 0:
-        raise ValueError("timeout must be positive")
-
-    m, n, k = algorithm.m, algorithm.n, algorithm.k
-    r = algorithm.rank
-
-    # Observability: one umbrella span for the call, one span per
-    # scheduled job (opened in the worker thread, so the Chrome trace
-    # shows real per-thread lanes).  Disabled cost: this None check.
-    tracer = _obs_tracer.ACTIVE
-
-    from repro.core.plan import resolve_plan_cache
-
-    cache = resolve_plan_cache(plan_cache)
-    plan = workspace = None
-    if (cache is not None and schedule is None
-            and A.dtype == B.dtype and A.dtype.kind == "f"):
-        plan = cache.plan_for(
-            algorithm, A.shape[0], A.shape[1], B.shape[1], A.dtype, lam,
-            steps=steps, mode="threaded", strategy=strategy,
-            threads=threads,
-        )
-        schedule = plan.schedule
-        part = plan.partition
-        Un, Vn, Wn = plan.Un, plan.Vn, plan.Wn
-        workspace = plan.checkout()
-        Ap, Bp = plan.stage(workspace, A, B)
-        a_blocks = (workspace.a_blocks[0] if workspace.a_blocks[0] is not None
-                    else _flatten(Ap, m, n))
-        b_blocks = (workspace.b_blocks[0] if workspace.b_blocks[0] is not None
-                    else _flatten(Bp, n, k))
-    else:
-        if schedule is None:
-            schedule = build_schedule(r, threads, strategy)
-        part = BlockPartition(
-            m, n, k, rows_a=A.shape[0], cols_a=A.shape[1], cols_b=B.shape[1],
-            steps=steps,
-        )
-        Ap, Bp = part.prepare(A, B)
-        Un, Vn, Wn = algorithm.evaluate(lam, dtype=dtype)
-        a_blocks = _flatten(Ap, m, n)
-        b_blocks = _flatten(Bp, n, k)
-
-    def operands(i: int) -> tuple[np.ndarray, np.ndarray]:
-        return (linear_combination(a_blocks, Un[:, i]),
-                linear_combination(b_blocks, Vn[:, i]))
+    lam, plan, schedule = _scheduled_plan(
+        A, B, algorithm, threads, lam, strategy, schedule, steps, retries,
+        timeout, plan_cache, "threaded")
+    if plan is None:
+        return _run_sequential(A, B, algorithm, lam, steps, gemm, None,
+                               False)
+    r = plan.rank
 
     def record(outcome: JobOutcome) -> None:
         if report is not None:
@@ -266,6 +298,15 @@ def _threaded_matmul_impl(
     def emit(kind: str, mult: int, detail: str, attempt: int = 0) -> None:
         if report is not None:
             report.events.emit(kind, f"mult {mult}", detail, attempt=attempt)
+
+    backoff_policy = (report.backoff if report is not None
+                      and report.backoff is not None else DEFAULT_BACKOFF)
+    delays = report.backoff_delays if report is not None else None
+
+    # Observability: one umbrella span for the call, one span per
+    # scheduled job (opened in the worker thread, so the Chrome trace
+    # shows real per-thread lanes).  Disabled cost: this None check.
+    tracer = _obs_tracer.ACTIVE
 
     def run_mult(i: int) -> tuple[np.ndarray, str, int, str, float, float]:
         """Returns ``(block, status, attempts, error_text, start, end)``.
@@ -281,51 +322,15 @@ def _threaded_matmul_impl(
                          algorithm=algorithm.name):
             return _run_mult(i)
 
-    backoff_policy = (report.backoff if report is not None
-                      and report.backoff is not None else DEFAULT_BACKOFF)
-
     def _run_mult(i: int) -> tuple[np.ndarray, str, int, str, float, float]:
         start = time.perf_counter()
-        S, T = operands(i)
-        error_text = ""
-        backoff = None
-        for attempt in range(1, retries + 2):
-            try:
-                M = gemm(S, T)
-                if check_finite and not np.isfinite(M).all():
-                    raise _WorkerNonFinite("block contains NaN/Inf")
-            except Exception as exc:
-                kind = ("worker-nonfinite"
-                        if isinstance(exc, _WorkerNonFinite)
-                        else "worker-error")
-                error_text = f"{type(exc).__name__}: {exc}"
-                emit(kind, i, error_text, attempt=attempt)
-                if attempt <= retries:
-                    # Back off before the retry: immediate re-runs fail
-                    # for the same transient reason, and jitter keeps
-                    # concurrent retriers desynchronized.  Keyed by the
-                    # mult index so each job's schedule is independent
-                    # and reproducible.
-                    if backoff is None:
-                        backoff = backoff_policy.sequence(key=i)
-                    delay = backoff.wait()
-                    if report is not None:
-                        report.backoff_delays.append(delay)
-                    emit("backoff", i, f"slept {delay * 1e3:.3f} ms "
-                         "before retry", attempt=attempt)
-                    emit("retry", i, f"attempt {attempt + 1} of "
-                         f"{retries + 1}", attempt=attempt)
-                continue
-            status = "ok" if attempt == 1 else "retried"
-            return M, status, attempt, "", start, time.perf_counter()
-        # All attempts failed: classical gemm for this block only.
-        emit("job-fallback", i, "classical gemm recomputed the block")
-        return (np.matmul(S, T), "fallback", retries + 1, error_text,
-                start, time.perf_counter())
-
-    def classical_rescue(i: int) -> np.ndarray:
-        S, T = operands(i)
-        return np.matmul(S, T)
+        call = plan.jobs[i].bind(Ap, Bp)
+        call.combine()
+        M, status, attempts, err = _run_ladder(
+            lambda: call.product(gemm), call.classical, i, retries,
+            check_finite, backoff_policy, delays,
+            lambda kind, detail, attempt: emit(kind, i, detail, attempt))
+        return M, status, attempts, err, start, time.perf_counter()
 
     outer_span = None
     if tracer is not None:
@@ -334,8 +339,10 @@ def _threaded_matmul_impl(
             algorithm=algorithm.name, threads=threads, strategy=strategy,
             shape=f"{tuple(A.shape)}@{tuple(B.shape)}", steps=steps)
         outer_span.__enter__()
+    ws = plan.checkout()
     try:
-        products: dict[int, np.ndarray] = {}
+        Ap, Bp = plan.stage(ws, A, B)
+        products: list = [None] * r
         if threads == 1:
             for i in range(r):
                 M, status, attempts, err, t_start, t_end = run_mult(i)
@@ -359,51 +366,19 @@ def _threaded_matmul_impl(
                              "recomputed the block in the caller thread")
                         # The worker never reported, so the phase submit
                         # time is the only start we have for this job.
+                        # Its late writes land in its own job buffers.
+                        call = plan.jobs[mult].bind(Ap, Bp)
+                        call.combine()
                         M, status, attempts, err, t_start, t_end = (
-                            classical_rescue(mult), "timeout-fallback", 1,
+                            call.classical(), "timeout-fallback", 1,
                             f"timeout after {timeout}s", t0,
                             time.perf_counter())
                         future.cancel()
                     products[mult] = M
                     record(JobOutcome(mult, status, attempts, t_start,
                                       t_end, error=err))
-
-        if workspace is not None:
-            C = workspace.C[0]
-            c_blocks = workspace.c_blocks[0]
-        else:
-            C = np.zeros((part.padded_rows_a, part.padded_cols_b),
-                         dtype=dtype)
-            c_blocks = _flatten(C, m, k)
-        for q in range(len(c_blocks)):
-            initialized = False
-            target = c_blocks[q]
-            for i in range(r):
-                w = Wn[q, i]
-                if w == 0:
-                    continue
-                M = products[i]
-                if not initialized:
-                    if w == 1:
-                        np.copyto(target, M)
-                    else:
-                        np.multiply(M, w, out=target)
-                    initialized = True
-                elif w == 1:
-                    target += M
-                elif w == -1:
-                    target -= M
-                else:
-                    target += w * M
-            if not initialized:
-                # Arena C is uninitialized memory, not np.zeros.
-                target[...] = 0
-        if workspace is not None:
-            # Always copy out: the arena C belongs to the plan.
-            return np.array(C[: A.shape[0], : B.shape[1]])
-        return np.ascontiguousarray(part.crop(C))
+        return plan.scatter(ws, products)
     finally:
         if outer_span is not None:
             outer_span.__exit__(None, None, None)
-        if workspace is not None:
-            plan.release(workspace)
+        plan.release(ws)

@@ -6,15 +6,18 @@ combinations — the memory-bound third of every APA call — serialize on
 one interpreter.  This module maps the same ``r = p·q + ℓ`` schedule
 onto real worker *processes*: the padded A/B operands and the ``r``
 product blocks live in :mod:`multiprocessing.shared_memory` segments
-(:mod:`repro.parallel.shm`), workers build their S/T combinations from
-zero-copy views and write products straight into the shared OUT
-segment, and the only per-task traffic is a small pickled spec.
+(:mod:`repro.parallel.shm`).  Each task ships one job segment of the
+threaded plan's op tape (:mod:`repro.core.plan`; numpy functions pickle
+by reference); the worker binds it to zero-copy views of A and B and
+writes its product straight into ``OUT[i]``.  The parent runs the
+scatter segment after the last phase.
 
-Failure contract (mirrors the threaded executor's ladder):
+Failure contract (the threaded executor's ladder, shared):
 
 - a gemm that raises inside a worker is retried *in the worker* with
   the same deterministic decorrelated-jitter backoff, then recomputed
-  classically in the worker — statuses ``ok``/``retried``/``fallback``;
+  classically in the worker — statuses ``ok``/``retried``/``fallback``
+  (a :class:`Warning` raised as an error propagates instead);
 - a worker that overruns ``timeout`` is abandoned: the parent
   recomputes the block classically (``timeout-fallback``) and condemns
   the call's segments so the straggler's late write cannot reach any
@@ -27,9 +30,8 @@ Failure contract (mirrors the threaded executor's ladder):
   classically (``fallback``) and condemns the call's segments.
 
 Results are bit-identical to the interpreter and threaded paths: the
-staging, ``linear_combination`` calls, gemms, and W-combination are the
-same operations in the same order on the same values — only the address
-space they run in differs.
+tape is the same operations in the same order on the same values — only
+the address space they run in differs.
 
 Workers start via ``spawn``, never ``fork``: the parent is
 multithreaded (executor pool, tracer, BLAS), and forking it can copy
@@ -61,16 +63,15 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.apa_matmul import linear_combination
 from repro.core.engine import _run_sequential, default_engine
-from repro.linalg.blocking import BlockPartition
 from repro.obs import tracer as _obs_tracer
 from repro.obs.registry import default_registry
 from repro.parallel.backoff import BackoffPolicy
 from repro.parallel.executor import (DEFAULT_BACKOFF, ExecutionReport,
-                                     JobOutcome, _flatten)
+                                     JobOutcome, _run_ladder,
+                                     _scheduled_plan)
 from repro.parallel.shm import acquire_segment, release_segment
-from repro.parallel.strategy import Schedule, build_schedule
+from repro.parallel.strategy import Schedule
 
 __all__ = ["process_apa_matmul", "get_process_pool",
            "shutdown_process_pool", "process_pool_stats"]
@@ -238,10 +239,6 @@ def _attach_segment(
     return seg
 
 
-class _NonFiniteBlock(ArithmeticError):
-    """Internal: a worker's product block came back with NaN/Inf."""
-
-
 @dataclass(frozen=True)
 class _TaskSpec:
     """Everything one worker needs for one scheduled sub-product."""
@@ -254,16 +251,8 @@ class _TaskSpec:
     b_shape: tuple[int, int]
     out_shape: tuple[int, int, int]
     dtype: str
-    m: int
-    n: int
-    k: int
-    u_col: np.ndarray
-    v_col: np.ndarray
-    #: ``('catalog', name)`` / ``('object', algorithm)``; ``None`` when
-    #: ``steps == 1`` (the worker then needs no coefficients at all).
-    algorithm: Any
-    lam: float
-    steps: int
+    #: The plan's job segment for ``mult`` (see ``ExecutionPlan.jobs``).
+    job: Any
     retries: int
     check_finite: bool
     #: ``(base, cap, multiplier, seed)`` of the parent's policy — the
@@ -274,22 +263,13 @@ class _TaskSpec:
     inject: str | None
 
 
-def _task_algorithm(spec: _TaskSpec) -> Any:
-    kind, value = spec.algorithm
-    if kind == "catalog":
-        from repro.algorithms.catalog import get_algorithm
-
-        return get_algorithm(value)
-    return value
-
-
 def _run_task(spec: _TaskSpec) -> tuple:
-    """Worker body: S/T combination, gemm ladder, OUT write.
+    """Worker body: the job segment into ``OUT[mult]``, in the ladder.
 
     Returns ``(mult, status, attempts, error_text, start, end, delays)``
     with the threaded executor's status vocabulary.  Gemm faults are
-    handled here with the retry → classical ladder; anything raised
-    outside that loop (attach failure, closed mapping) propagates and
+    handled here by the shared retry → classical ladder; anything
+    raised outside it (attach failure, closed mapping) propagates and
     the parent recomputes the block classically.
     """
     start = time.perf_counter()
@@ -305,50 +285,31 @@ def _run_task(spec: _TaskSpec) -> tuple:
     Ap = np.ndarray(spec.a_shape, dtype=dtype, buffer=a_seg.buf)
     Bp = np.ndarray(spec.b_shape, dtype=dtype, buffer=b_seg.buf)
     OUT = np.ndarray(spec.out_shape, dtype=dtype, buffer=out_seg.buf)
-    S = linear_combination(_flatten(Ap, spec.m, spec.n), spec.u_col)
-    T = linear_combination(_flatten(Bp, spec.n, spec.k), spec.v_col)
+    call = spec.job.bind(Ap, Bp, OUT[spec.mult])
+    call.combine()
+    attempt = 0
 
-    if spec.steps > 1:
-        algorithm = _task_algorithm(spec)
-
-        def gemm(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-            return _run_sequential(X, Y, algorithm, spec.lam,
-                                   spec.steps - 1, np.matmul, None, None)
-    else:
-        gemm = np.matmul
+    def product() -> np.ndarray:
+        nonlocal attempt
+        attempt += 1
+        if spec.inject == "exit":
+            os._exit(17)
+        if spec.inject == "raise" or (spec.inject == "raise-once"
+                                      and attempt == 1):
+            raise RuntimeError("injected worker fault")
+        P = call.product()
+        if spec.inject == "nan" and attempt == 1:
+            P[...] = np.nan
+        return P
 
     base, cap, multiplier, seed = spec.backoff
     policy = BackoffPolicy(base=base, cap=cap, multiplier=multiplier,
                            seed=seed)
-    backoff = None
     delays: list[float] = []
-    error_text = ""
-    for attempt in range(1, spec.retries + 2):
-        try:
-            if spec.inject == "exit":
-                os._exit(17)
-            if spec.inject == "raise" or (spec.inject == "raise-once"
-                                          and attempt == 1):
-                raise RuntimeError("injected worker fault")
-            P = gemm(S, T)
-            if spec.inject == "nan" and attempt == 1:
-                P = np.full_like(P, np.nan)
-            if spec.check_finite and not np.isfinite(P).all():
-                raise _NonFiniteBlock("block contains NaN/Inf")
-        except Exception as exc:
-            error_text = f"{type(exc).__name__}: {exc}"
-            if attempt <= spec.retries:
-                if backoff is None:
-                    backoff = policy.sequence(key=spec.mult)
-                delays.append(backoff.wait())
-            continue
-        OUT[spec.mult] = P
-        status = "ok" if attempt == 1 else "retried"
-        return (spec.mult, status, attempt, "", start,
-                time.perf_counter(), delays)
-    # All attempts failed: classical gemm for this block, in the worker.
-    OUT[spec.mult] = np.matmul(S, T)
-    return (spec.mult, "fallback", spec.retries + 1, error_text, start,
+    _, status, attempts, error_text = _run_ladder(
+        product, call.classical, spec.mult, spec.retries,
+        spec.check_finite, policy, delays)
+    return (spec.mult, status, attempts, error_text, start,
             time.perf_counter(), delays)
 
 
@@ -356,20 +317,15 @@ def _run_task(spec: _TaskSpec) -> tuple:
 # parent side
 # ---------------------------------------------------------------------
 
-def _algorithm_ref(algorithm: Any) -> Any:
-    """Ship catalog algorithms by name (workers re-resolve the shared
-    singleton, so their plan caches hit across tasks); anything else is
-    pickled whole."""
-    name = getattr(algorithm, "name", None)
-    if isinstance(name, str):
-        from repro.algorithms.catalog import get_algorithm
-
-        try:
-            if get_algorithm(name) is algorithm:
-                return ("catalog", name)
-        except (KeyError, ValueError):
-            pass
-    return ("object", algorithm)
+def _stage(seg: Any, X: np.ndarray, shape: tuple[int, int],
+           dtype: np.dtype) -> np.ndarray:
+    """``X`` zero-padded to ``shape`` in a shared segment."""
+    view = seg.view(shape, dtype)
+    rows, cols = X.shape
+    view[:rows, :cols] = X
+    view[rows:, :] = 0
+    view[:rows, cols:] = 0
+    return view
 
 
 def process_apa_matmul(
@@ -424,63 +380,21 @@ def _process_matmul_impl(
     enforces it); everything else goes through the engine so tracing,
     guarding, and config resolution stay layered at one point.
     """
-    if algorithm.is_surrogate:
-        raise ValueError(
-            f"{algorithm.name!r} is a metadata surrogate; real process "
-            "execution needs full coefficients (use the simulator for it)"
-        )
-    if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0]:
-        raise ValueError(f"bad operand shapes {A.shape} @ {B.shape}")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    if retries < 0:
-        raise ValueError("retries must be >= 0")
-    if timeout is not None and timeout <= 0:
-        raise ValueError("timeout must be positive")
-
-    from repro.core.lam import optimal_lambda, precision_bits
-
-    dtype = np.result_type(A.dtype, B.dtype)
-    if dtype.hasobject:
-        raise ValueError("process execution requires a fixed-size dtype")
-    if lam is None:
-        d = precision_bits(dtype) if dtype.kind == "f" else 52
-        lam = optimal_lambda(algorithm, d=d, steps=steps)
-
-    m, n, k = algorithm.m, algorithm.n, algorithm.k
-    r = algorithm.rank
-
-    from repro.core.plan import resolve_plan_cache
-
-    cache = resolve_plan_cache(plan_cache)
-    if (cache is not None and schedule is None
-            and A.dtype == B.dtype and A.dtype.kind == "f"):
-        # Metadata-only plan use (schedule, partition, evaluated
-        # coefficients): blocks live in shared memory, not the plan's
-        # arenas, so no workspace is checked out.  The key matches the
-        # threaded path on purpose — both executors share one plan per
-        # (shape, dtype, lam, schedule geometry).
-        plan = cache.plan_for(
-            algorithm, A.shape[0], A.shape[1], B.shape[1], A.dtype, lam,
-            steps=steps, mode="threaded", strategy=strategy,
-            threads=workers)
-        schedule = plan.schedule
-        part = plan.partition
-        Un, Vn, Wn = plan.Un, plan.Vn, plan.Wn
-    else:
-        if schedule is None:
-            schedule = build_schedule(r, workers, strategy)
-        part = BlockPartition(
-            m, n, k, rows_a=A.shape[0], cols_a=A.shape[1],
-            cols_b=B.shape[1], steps=steps)
-        Un, Vn, Wn = algorithm.evaluate(lam, dtype=dtype)
-
+    # The thread runner's plan; its jobs read A and B from shared
+    # memory, so the workspace serves only the scatter.
+    lam, plan, schedule = _scheduled_plan(
+        A, B, algorithm, workers, lam, strategy, schedule, steps, retries,
+        timeout, plan_cache, "process")
+    if plan is None:
+        return _run_sequential(A, B, algorithm, lam, steps, None, None,
+                               False)
+    r = plan.rank
+    dtype = plan.dtype
+    part = plan.partition
     Mp = part.padded_rows_a
     Np = part.padded_cols_a
     Kp = part.padded_cols_b
-    bm, bk = Mp // m, Kp // k
+    bm, bk = Mp // part.m, Kp // part.k
     itemsize = dtype.itemsize
 
     a_seg = acquire_segment(Mp * Np * itemsize)
@@ -497,25 +411,15 @@ def _process_matmul_impl(
             shape=f"{tuple(A.shape)}@{tuple(B.shape)}", steps=steps)
         outer_span.__enter__()
     try:
-        Ap = a_seg.view((Mp, Np), dtype)
-        Ap[:A.shape[0], :A.shape[1]] = A
-        if Mp > A.shape[0]:
-            Ap[A.shape[0]:, :] = 0
-        if Np > A.shape[1]:
-            Ap[:A.shape[0], A.shape[1]:] = 0
-        Bp = b_seg.view((Np, Kp), dtype)
-        Bp[:B.shape[0], :B.shape[1]] = B
-        if Np > B.shape[0]:
-            Bp[B.shape[0]:, :] = 0
-        if Kp > B.shape[1]:
-            Bp[:B.shape[0], B.shape[1]:] = 0
+        Ap = _stage(a_seg, A, (Mp, Np), dtype)
+        Bp = _stage(b_seg, B, (Np, Kp), dtype)
         OUT = out_seg.view((r, bm, bk), dtype)
-        a_blocks = _flatten(Ap, m, n)
-        b_blocks = _flatten(Bp, n, k)
 
-        def operands(i: int) -> tuple[np.ndarray, np.ndarray]:
-            return (linear_combination(a_blocks, Un[:, i]),
-                    linear_combination(b_blocks, Vn[:, i]))
+        def rescue(i: int) -> np.ndarray:
+            """The block by classical gemm, in the parent."""
+            call = plan.jobs[i].bind(Ap, Bp)
+            call.combine()
+            return call.classical()
 
         def record(outcome: JobOutcome) -> None:
             if report is not None:
@@ -529,18 +433,14 @@ def _process_matmul_impl(
 
         policy = (report.backoff if report is not None
                   and report.backoff is not None else DEFAULT_BACKOFF)
-        alg_ref = _algorithm_ref(algorithm) if steps > 1 else None
 
         def make_spec(i: int, inject: str | None) -> _TaskSpec:
             return _TaskSpec(
                 mult=i, a_name=a_seg.name, b_name=b_seg.name,
                 out_name=out_seg.name, a_shape=(Mp, Np),
                 b_shape=(Np, Kp), out_shape=(r, bm, bk), dtype=dtype.str,
-                m=m, n=n, k=k,
-                u_col=np.ascontiguousarray(Un[:, i]),
-                v_col=np.ascontiguousarray(Vn[:, i]),
-                algorithm=alg_ref, lam=float(lam), steps=steps,
-                retries=retries, check_finite=check_finite,
+                job=plan.jobs[i], retries=retries,
+                check_finite=check_finite,
                 backoff=(policy.base, policy.cap, policy.multiplier,
                          policy.seed),
                 inject=inject)
@@ -563,6 +463,8 @@ def _process_matmul_impl(
                 try:
                     fut = fresh.submit(_run_task, make_spec(i, None))
                     return fut.result(timeout=timeout), attempt
+                except Warning:
+                    raise
                 except Exception as exc:
                     # Crash, timeout, or a worker-raised error — any of
                     # them burns this rung of the ladder; exhaustion
@@ -577,7 +479,7 @@ def _process_matmul_impl(
             "repro_process_tasks_total",
             "sub-multiplications dispatched to worker processes")
 
-        products: dict[int, np.ndarray] = {}
+        products: list = [None] * r
         pool = get_process_pool(workers)
         for phase in schedule.phases:
             t0 = time.perf_counter()
@@ -609,7 +511,7 @@ def _process_matmul_impl(
                     emit("worker-timeout", mult,
                          f"no result within {timeout}s; classical gemm "
                          "recomputed the block in the parent")
-                    products[mult] = np.matmul(*operands(mult))
+                    products[mult] = rescue(mult)
                     record(JobOutcome(
                         mult, "timeout-fallback", 1, t0,
                         time.perf_counter(),
@@ -622,6 +524,11 @@ def _process_matmul_impl(
                     _drop_broken_pool()
                     pool = get_process_pool(workers)
                     outcome, crash_attempts = resubmit(mult)
+                except Warning:
+                    # Never a gemm failure; siblings may still be
+                    # writing OUT, so the segments are not pooled.
+                    pooled = False
+                    raise
                 except Exception as exc:
                     # A worker raised outside its retry loop (segment
                     # attach failure, closed mapping, bad spec).  The
@@ -632,7 +539,7 @@ def _process_matmul_impl(
                     emit("worker-error", mult,
                          f"{type(exc).__name__}: {exc}; classical gemm "
                          "recomputed the block in the parent")
-                    products[mult] = np.matmul(*operands(mult))
+                    products[mult] = rescue(mult)
                     record(JobOutcome(
                         mult, "fallback", 1, t0, time.perf_counter(),
                         error=f"{type(exc).__name__}: {exc}"))
@@ -641,7 +548,7 @@ def _process_matmul_impl(
                     emit("job-fallback", mult,
                          "classical gemm recomputed the block in the "
                          "parent after worker crashes")
-                    products[mult] = np.matmul(*operands(mult))
+                    products[mult] = rescue(mult)
                     record(JobOutcome(
                         mult, "fallback", crash_attempts + 1, t0,
                         time.perf_counter(),
@@ -664,29 +571,11 @@ def _process_matmul_impl(
                 record(JobOutcome(i, status, attempts, t_start, t_end,
                                   error=err))
 
-        C = np.zeros((Mp, Kp), dtype=dtype)
-        c_blocks = _flatten(C, m, k)
-        for q in range(len(c_blocks)):
-            initialized = False
-            target = c_blocks[q]
-            for i in range(r):
-                w = Wn[q, i]
-                if w == 0:
-                    continue
-                M = products[i]
-                if not initialized:
-                    if w == 1:
-                        np.copyto(target, M)
-                    else:
-                        np.multiply(M, w, out=target)
-                    initialized = True
-                elif w == 1:
-                    target += M
-                elif w == -1:
-                    target -= M
-                else:
-                    target += w * M
-        return np.ascontiguousarray(part.crop(C))
+        ws = plan.checkout()
+        try:
+            return plan.scatter(ws, products)
+        finally:
+            plan.release(ws)
     finally:
         if outer_span is not None:
             outer_span.__exit__(None, None, None)

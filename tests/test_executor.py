@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -167,6 +169,26 @@ class TestFailureRecovery:
         C = threaded_apa_matmul(A, B, get_algorithm("strassen222"),
                                 threads=1, gemm=gemm, check_finite=False)
         assert np.isnan(C).any()  # silent by default — opt-in detection
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_warning_raised_as_error_is_not_a_gemm_failure(self, threads,
+                                                          rng):
+        # Under -W error a promoted RuntimeWarning must surface, not turn
+        # into a retry or a classical-fallback job.
+        def warning_gemm(S, T):
+            warnings.warn("overflow in gemm", RuntimeWarning)
+            return S @ T
+
+        report = ExecutionReport()
+        A, B = rng.random((16, 16)), rng.random((16, 16))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeWarning, match="overflow in gemm"):
+                threaded_apa_matmul(A, B, get_algorithm("strassen222"),
+                                    threads=threads, gemm=warning_gemm,
+                                    retries=1, report=report)
+        assert not report.failed_jobs
+        assert report.events.count("worker-error") == 0
 
     def test_stalled_worker_times_out_and_is_rescued(self, rng):
         gemm = faulty_gemm(FaultSpec(kind="stall", calls=(0,),

@@ -1,5 +1,6 @@
 """The plan-and-arena execution engine (core.plan + parallel.pool)."""
 
+import itertools
 import os
 import sys
 import threading
@@ -19,8 +20,11 @@ from repro.core.plan import (
     default_plan_cache,
     resolve_plan_cache,
 )
+from repro.linalg.blocking import required_padding
 from repro.parallel.executor import threaded_apa_matmul
 from repro.parallel.pool import get_pool, pool_stats, shutdown_pool
+from repro.parallel.procpool import process_apa_matmul
+from repro.parallel.strategy import Schedule, build_schedule
 from repro.robustness.events import EventLog
 from repro.robustness.guard import GuardedBackend
 
@@ -57,8 +61,12 @@ def _rule(name):
     return _UNFED if name == _UNFED.name else get_algorithm(name)
 
 
+#: (threads, strategy) pairs the thread-runner cases cycle through.
+_THREADINGS = [(t, s) for t in (1, 2, 3) for s in ("hybrid", "bfs", "dfs")]
+
+
 def _bitwise_cases():
-    """(rule, steps, shape, dtype, layout, gemm) inputs of the grid.
+    """(rule, steps, shape, dtype, layout, gemm, runner) grid inputs.
 
     Every non-surrogate catalog rule at every step count whose unrolled
     tape stays within 1000 gemms, on an exact and a ragged shape whose
@@ -66,8 +74,16 @@ def _bitwise_cases():
     them block-major), each also forced onto views; a ``gemm=`` override
     that keeps the dtype (float64) or upcasts (float32); the unfed-block
     rule on the same grid; and exact and ragged shapes above the budget.
+
+    The other runners execute the same tape on the same grid (steps
+    1-2): the thread runner on every rule, cycling through 1-3 threads
+    and the hybrid/bfs/dfs schedules, with and without the ``gemm=``
+    override; the process runner on ``strassen222`` and ``bini322``
+    only (spawn cost); the batched runner at one step, each stack item
+    against the same product run alone.
     """
     cases = []
+    threadings = itertools.cycle(_THREADINGS)
     for name in [*list_algorithms("real"), _UNFED.name]:
         alg = _rule(name)
         for steps in (1, 2, 3):
@@ -78,14 +94,29 @@ def _bitwise_cases():
                       "ragged": (2 * um + 1, 3 * un - 1, 2 * uk + 1)}
             for label, shape in shapes.items():
                 for dtype in ("float32", "float64"):
+                    gemms = ("np", "override") if dtype == "float64" \
+                        else ("np", "upcast")
                     for layout in ("block-major", "views"):
-                        gemms = ("np", "override") if dtype == "float64" \
-                            else ("np", "upcast")
                         for gemm in gemms:
                             cases.append(pytest.param(
                                 name, steps, shape, dtype, layout, gemm,
+                                "sequential",
                                 id=f"{name}-s{steps}-{label}-{dtype}-"
                                    f"{layout}-{gemm}"))
+                    if steps == 3:
+                        continue
+                    runs = [("threads{}-{}".format(*next(threadings)), gemm)
+                            for gemm in gemms]
+                    if name in ("strassen222", "bini322"):
+                        runs.append(("process", "np"))
+                    if steps == 1:
+                        runs.append(("batched", "np"))
+                    for runner, gemm in runs:
+                        cases.append(pytest.param(
+                            name, steps, shape, dtype, "views", gemm,
+                            runner,
+                            id=f"{name}-s{steps}-{label}-{dtype}-"
+                               f"{runner}-{gemm}"))
     # Over the budget: 3 * 600**2 float64 and 3 * 840**2 float32 blocks
     # exceed BLOCK_MAJOR_BYTES, so the default layout is views.
     for name, steps in (("strassen222", 1), ("bini322", 1),
@@ -94,7 +125,7 @@ def _bitwise_cases():
                              ((601, 599, 603), "float64"),
                              ((840, 840, 840), "float32")):
             cases.append(pytest.param(
-                name, steps, shape, dtype, "large", "np",
+                name, steps, shape, dtype, "large", "np", "sequential",
                 id=f"{name}-s{steps}-{'x'.join(map(str, shape))}-{dtype}"))
     return cases
 
@@ -112,10 +143,27 @@ def _upcast_gemm(S, T):
 _GEMMS = {"np": None, "override": _copy_gemm, "upcast": _upcast_gemm}
 
 
-@pytest.mark.parametrize("name,steps,shape,dtype,layout,gemm",
+def _runner(runner, alg, steps, gemm):
+    """``run(A, B, cache)`` for one runner of the grid."""
+    if runner == "sequential":
+        return lambda A, B, cache: apa_matmul(
+            A, B, alg, lam=1e-3, steps=steps, gemm=gemm, plan_cache=cache)
+    if runner == "process":
+        return lambda A, B, cache: process_apa_matmul(
+            A, B, alg, workers=2, lam=1e-3, steps=steps, plan_cache=cache)
+    if runner == "batched":
+        return lambda A, B, cache: apa_matmul_batched(
+            A, B, alg, lam=1e-3, plan_cache=cache)
+    threads, strategy = runner.removeprefix("threads").split("-")
+    return lambda A, B, cache: threaded_apa_matmul(
+        A, B, alg, threads=int(threads), strategy=strategy, lam=1e-3,
+        steps=steps, gemm=gemm, plan_cache=cache)
+
+
+@pytest.mark.parametrize("name,steps,shape,dtype,layout,gemm,runner",
                          _bitwise_cases())
 def test_plan_matches_interpreter_bitwise(name, steps, shape, dtype, layout,
-                                          gemm, monkeypatch):
+                                          gemm, runner, monkeypatch):
     alg = _rule(name)
     if layout == "views":
         monkeypatch.setattr(memory_module, "BLOCK_MAJOR_BYTES", 0)
@@ -123,22 +171,29 @@ def test_plan_matches_interpreter_bitwise(name, steps, shape, dtype, layout,
     A, B = _operands(shape, dtype=np.dtype(dtype))
     cold = apa_matmul(A, B, alg, lam=1e-3, steps=steps, gemm=gemm,
                       plan_cache=False)
+    if runner == "batched":
+        # Each stack item must be the same product run alone.
+        A2, B2 = _operands(shape, dtype=np.dtype(dtype), seed=8)
+        cold = np.stack([cold, apa_matmul(A2, B2, alg, lam=1e-3,
+                                          plan_cache=False)])
+        A, B = np.stack([A, A2]), np.stack([B, B2])
+    run = _runner(runner, alg, steps, gemm)
     cache = PlanCache()
-    warm1 = apa_matmul(A, B, alg, lam=1e-3, steps=steps, gemm=gemm,
-                       plan_cache=cache)
-    warm2 = apa_matmul(A, B, alg, lam=1e-3, steps=steps, gemm=gemm,
-                       plan_cache=cache)
+    warm1 = run(A, B, cache)
+    warm2 = run(A, B, cache)
     assert np.array_equal(cold, warm1)
     assert np.array_equal(warm1, warm2)
     stats = cache.stats()
     assert stats["misses"] == 1 and stats["hits"] == 1
-    plan = cache.plan_for(alg, *A.shape, B.shape[1], A.dtype, 1e-3,
-                          steps=steps)
-    assert plan.block_major == (layout == "block-major")
+    if runner == "sequential":
+        plan = cache.plan_for(alg, *A.shape, B.shape[1], A.dtype, 1e-3,
+                              steps=steps)
+        assert plan.block_major == (layout == "block-major")
     if name == _UNFED.name:
-        part = plan.partition
-        assert not cold[part.padded_rows_a // 2:,
-                        part.padded_cols_b // 2:].any()
+        # No product feeds C22: every runner leaves it zero.
+        rows = required_padding(shape[0], 2, steps) // 2
+        cols = required_padding(shape[2], 2, steps) // 2
+        assert not warm1[..., rows:, cols:].any()
 
 
 def test_plan_reuse_is_bit_identical_across_many_calls():
@@ -179,6 +234,25 @@ def test_guarded_backend_plan_reuse_bit_identical():
     assert np.array_equal(out2, interpreter)
     assert guarded.violations == 0
     assert cache.stats()["hits"] >= 1
+
+
+def test_custom_schedules_share_one_threaded_plan():
+    # The schedule decides only where jobs run, not the tape: a custom
+    # schedule, even one running the phases backwards, reuses the plan.
+    alg = get_algorithm("bini322")
+    A, B = _operands((25, 17, 19), dtype=np.float32, seed=3)
+    forward = build_schedule(alg.rank, 2, "hybrid")
+    backward = Schedule(forward.strategy, forward.rank, forward.threads,
+                        forward.phases[::-1])
+    cache = PlanCache()
+    C1 = threaded_apa_matmul(A, B, alg, threads=2, schedule=forward,
+                             plan_cache=cache)
+    C2 = threaded_apa_matmul(A, B, alg, threads=2, schedule=backward,
+                             plan_cache=cache)
+    assert np.array_equal(C1, C2)
+    assert np.array_equal(C1, apa_matmul(A, B, alg, plan_cache=False))
+    stats = cache.stats()
+    assert stats["misses"] == 1 and stats["hits"] == 1
 
 
 def test_threaded_plan_matches_sequential_bitwise():
@@ -327,23 +401,33 @@ def _owned_bytes(ws):
     return sum(o.nbytes for o in owners.values())
 
 
-@pytest.mark.parametrize("name,shape,steps,dtype,block_major", [
+@pytest.mark.parametrize("name,shape,steps,dtype,layout", [
     ("strassen222", (16, 16, 16), 1, np.float64, True),
     ("bini322", (24, 16, 20), 2, np.float32, True),
     ("bini322", (64, 96, 10), 1, np.float32, True),
     ("strassen222", (16, 16, 16), 1, np.float64, False),
     ("bini322", (25, 17, 19), 2, np.float32, False),
     ("laderman333", (27, 27, 27), 1, np.float64, False),
+    # Threaded plans: staging, output arena and scatter scratch only —
+    # their job buffers are allocated per job call.
+    ("strassen222", (16, 16, 16), 1, np.float64, "threaded"),
+    ("bini322", (25, 17, 19), 2, np.float32, "threaded"),
+    ("laderman333", (27, 27, 27), 1, np.float64, "threaded"),
+    ("bini322", (37, 29, 41), 1, np.float64, "threaded"),
 ])
 def test_plan_estimate_prices_the_arena(name, shape, steps, dtype,
-                                        block_major, monkeypatch):
+                                        layout, monkeypatch):
     # The estimate is exactly what one checked-out workspace allocates,
     # and the §3.3 model bounds it with the same staging terms.
-    if not block_major:
+    # ``layout``: True block-major, False views, or a threaded plan.
+    threaded = layout == "threaded"
+    if layout is False:
         monkeypatch.setattr(memory_module, "BLOCK_MAJOR_BYTES", 0)
     alg = get_algorithm(name)
-    plan = PlanCache().plan_for(alg, *shape, dtype, lam=1e-2, steps=steps)
-    assert plan.block_major == block_major
+    plan = PlanCache().plan_for(alg, *shape, dtype, lam=1e-2, steps=steps,
+                                mode="threaded" if threaded
+                                else "sequential")
+    assert plan.block_major == (layout is True)
     est = plan.estimate
     ws = plan.checkout()
     try:
@@ -351,7 +435,8 @@ def test_plan_estimate_prices_the_arena(name, shape, steps, dtype,
     finally:
         plan.release(ws)
     model = workspace_bytes(alg, *shape, steps=steps,
-                            dtype_bytes=np.dtype(dtype).itemsize)
+                            dtype_bytes=np.dtype(dtype).itemsize,
+                            parallel=threaded)
     assert est.padded_inputs == model.padded_inputs
     assert est.padded_output == model.padded_output
     assert est.combination_buffers <= model.combination_buffers
