@@ -242,6 +242,10 @@ class GuardedBackend:
 
         try:
             C = self.inner.matmul(A, B)
+        except Warning:
+            # A warning raised as an error (``-W error``) is the caller's
+            # policy, not a backend failure: no strike, no escalation.
+            raise
         except Exception as exc:  # fast path died outright — escalate
             self.violations += 1
             _count("repro_guard_violations_total")
@@ -291,7 +295,8 @@ class GuardedBackend:
 
     def _recompute(self, A: np.ndarray, B: np.ndarray, lam: float | None,
                    steps: int) -> np.ndarray | None:
-        """Re-run the wrapped algorithm with altered knobs; None on error."""
+        """Re-run the wrapped algorithm with altered knobs; None on error
+        (a :class:`Warning` raised as an error propagates)."""
         from repro.core.apa_matmul import apa_matmul
 
         try:
@@ -299,6 +304,8 @@ class GuardedBackend:
                 A, B, self._algorithm, lam=lam, steps=steps,
                 gemm=getattr(self.inner, "gemm", None),
             )
+        except Warning:
+            raise
         except Exception:
             return None
 

@@ -31,15 +31,22 @@ picks its kernels by memory order); it only removes work around the
 arithmetic:
 
 - a two-term combination is one ``np.add``/``np.subtract`` into its
-  buffer instead of a copy plus an in-place update;
+  buffer instead of a copy plus an in-place update (``-a0 + a1``
+  included: IEEE defines ``a1 - a0`` as ``a1 + (-a0)``);
 - each gemm writes straight into the first output block it initializes
   with coefficient 1 (otherwise into the level's product slot ``P``),
   and the remaining output terms of that product follow it;
 - a single coefficient-1 term is never copied: the next level (or the
   gemm) reads the block itself, at every recursion level.
 
-Two arena layouts for sequential plans, chosen by size:
+Three arena layouts for sequential plans, chosen by size:
 
+- **stacked** (block-major, with the last level's ``r``-deep ``S``,
+  ``T`` and ``P`` stacks within
+  :data:`repro.core.memory.STACKED_BYTES`, see
+  :func:`~repro.core.memory.uses_stacked`): as block-major, but each
+  last-level group of ``r`` products is one gemm over the stacks, so
+  a small product pays for one numpy call instead of ``r``;
 - **block-major** (staged ``A + B + C`` within
   :data:`repro.core.memory.BLOCK_MAJOR_BYTES`, see
   :func:`~repro.core.memory.uses_block_major`):
@@ -65,6 +72,7 @@ unless told otherwise.
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -72,7 +80,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.algorithms.spec import AlgorithmLike
-from repro.core.memory import WorkspaceEstimate, uses_block_major
+from repro.core.memory import (
+    WorkspaceEstimate,
+    uses_block_major,
+    uses_stacked,
+)
 from repro.linalg.blocking import BlockPartition
 from repro.obs import tracer as _obs_tracer
 from repro.robustness.events import EventLog
@@ -92,6 +104,10 @@ __all__ = [
 PLAN_MODES = ("sequential", "threaded", "batched")
 
 _matmul = np.matmul
+#: Block copies are ``out[...] = src``: the same copy as ``np.copyto``
+#: without its Python dispatch wrapper (0.24 against 0.84 us for a 16x16
+#: float64 block).
+_setitem = operator.setitem
 
 
 @dataclass(frozen=True)
@@ -150,15 +166,17 @@ def term_lists(
 class _Tape:
     """A compiled op sequence plus the buffers it addresses.
 
-    ``ops`` is a tuple of ``(fn, args)``; each arg is either a numpy
-    scalar or an address ``(buffer, index)`` naming the block
+    ``ops`` is a tuple of ``(fn, args)``; each arg is either a 0-d
+    coefficient array or an address ``(buffer, index)`` naming the block
     ``arrays[buffer][index]``.  ``buffers`` maps every buffer name the
     ops use to its array shape: roots (``"A"``, ``"B"``, ``"C"``, a
     job's product ``"M"``, the scatter's products ``("M", i)``), the
-    per-level combination and product slots ``("S"|"T"|"P", level)``,
-    and scratch ``("X", *shape)`` views that share one allocation.
-    ``reads`` maps the index of each gemm op to the ``(op index, arg
-    positions)`` of the later ops that read its product.
+    per-level combination and product slots ``("S"|"T"|"P", level)``
+    (``r``-deep stacks at a stacked last level), and scratch ``("X",
+    *shape)`` views that share one allocation.  ``reads`` maps the index
+    of each gemm op to the ``(op index, arg positions)`` of the later
+    ops that read its product (not kept for stacked gemm ops, which no
+    ``gemm=`` override runs).
     """
 
     __slots__ = ("ops", "buffers", "reads")
@@ -175,8 +193,8 @@ class _Tape:
         tape to stacks of matrices, so each op runs over the stack.
         """
         return [
-            (fn, tuple([a if isinstance(a, np.generic)
-                        else arrays[a[0]][lead + a[1]] for a in args]))
+            (fn, tuple([arrays[a[0]][lead + a[1]] if isinstance(a, tuple)
+                        else a for a in args]))
             for fn, args in self.ops
         ]
 
@@ -209,10 +227,12 @@ def _scratch_elements(buffers: dict) -> int:
 def _run(ops: list, gemm: GemmFn | None, reads: dict) -> None:
     """Execute a bound tape: one numpy call per op.
 
-    A ``gemm`` override runs each product as ``copyto(out, gemm(S, T))``.
+    A ``gemm`` override runs each product as ``out[...] = gemm(S, T)``.
     When the override returns another dtype than the arena's (a fault
     that adds float64 noise, say), the ops that read the product get the
-    returned array itself, as the interpreter combines it.
+    returned array itself, as the interpreter combines it.  (Stacked
+    tapes never run here: a stacked plan runs an override on its
+    per-product tape.)
     """
     if gemm is None:
         for fn, args in ops:
@@ -227,7 +247,7 @@ def _run(ops: list, gemm: GemmFn | None, reads: dict) -> None:
         if fn is _matmul:
             x, y, out = args
             M = gemm(x, y)
-            np.copyto(out, M)
+            out[...] = M
             if M.dtype != out.dtype:
                 for j, positions in reads[i]:
                     raw[j] = (positions, M)
@@ -235,25 +255,39 @@ def _run(ops: list, gemm: GemmFn | None, reads: dict) -> None:
             fn(*args)
 
 
-def _compile(plan: ExecutionPlan, block_major: bool = False):
+def _compile(plan: ExecutionPlan, layout: str = "views"):
     """Lower a plan, every step unrolled.
 
     Mirrors the interpreter term for term: per multiplication the ``S``
     and ``T`` combinations, the product (a gemm, or the next level's
     ops), then its output terms in block order.  Output blocks no
-    multiplication feeds are zeroed last.  A sequential or batched plan
-    is one :class:`_Tape`.  A threaded plan is ``(jobs, scatter)``: one
-    :class:`_Job` per outer multiplication, and a tape that combines
-    the products, roots ``("M", i)``, into ``C`` in multiplication order.
+    multiplication feeds are zeroed last.  A ``"stacked"`` layout
+    regroups each last-level group of ``r`` products: every ``S_i`` and
+    ``T_i`` is written into slot ``i`` of a stack, one gemm op multiplies
+    the stacks, and the output blocks are combined from the product
+    stack in multiplication order.  A sequential or batched plan is one
+    :class:`_Tape`.  A threaded plan is ``(jobs, scatter)``: one
+    :class:`_Job` per outer multiplication, and a tape that combines the
+    products, roots ``("M", i)``, into ``C`` in multiplication order.
     """
     part = plan.partition
     m, n, k = part.m, part.n, part.k
     steps = part.steps
     Mp, Np, Kp = part.padded_rows_a, part.padded_cols_a, part.padded_cols_b
+    block_major = layout != "views"
     buffers: dict = {}
     ops: list = []
     reads: dict = {}
-    zero = plan.dtype.type(0)
+    # Coefficients are bound as 0-d arrays of the plan dtype: the same
+    # bits as numpy scalars, and cheaper ufunc arguments.
+    coeff = {}
+
+    def const(c):
+        if c not in coeff:
+            coeff[c] = np.array(c, dtype=plan.dtype)
+        return coeff[c]
+
+    zero = const(0)
 
     def root(name, rows, cols, rr, rc, depth):
         """Address of a whole buffer, registering its shape."""
@@ -263,6 +297,11 @@ def _compile(plan: ExecutionPlan, block_major: bool = False):
             return (name, ())
         buffers[name] = (rows, cols)
         return (name, (slice(0, rows), slice(0, cols)))
+
+    def stack(name, rows, cols):
+        """Slot addresses of an ``r``-deep stack of blocks."""
+        buffers[name] = (plan.rank, rows, cols)
+        return [(name, (i,)) for i in range(plan.rank)]
 
     def children(addr, rows, cols):
         name, idx = addr
@@ -296,32 +335,40 @@ def _compile(plan: ExecutionPlan, block_major: bool = False):
             emit(np.subtract, out, src, out)
         else:
             scr = scratch(out)
-            emit(np.multiply, src, c, scr)
+            emit(np.multiply, src, const(c), scr)
             emit(np.add, out, scr, out)
 
-    def combine(terms, blocks, slot):
-        """Write-once combination; a lone unit term is the block itself."""
+    def combine(terms, blocks, slot, copy_unit=False):
+        """Write-once combination; a lone unit term is the block itself
+        (copied into ``slot()`` when ``copy_unit``)."""
         if len(terms) == 1 and terms[0][1] == 1:
-            return blocks[terms[0][0]]
+            if not copy_unit:
+                return blocks[terms[0][0]]
+            out = slot()
+            emit(_setitem, out, Ellipsis, blocks[terms[0][0]])
+            return out
         out = slot()
         if not terms:
-            emit(np.copyto, out, zero)
+            emit(_setitem, out, Ellipsis, zero)
             return out
         (i0, c0), rest = terms[0], terms[1:]
-        if c0 == 1:
-            # copy + first update fused: a0 + c1*a1 is one rounding
-            # either way.
+        if rest and (c0 == 1 or (c0 == -1 and rest[0][1] != -1)):
+            # The first update fused into the copy: a0 + c1*a1 (or
+            # c1*a1 - a0, as IEEE defines -a0 + x) is one rounding either
+            # way.
             (i1, c1), rest = rest[0], rest[1:]
-            if c1 == 1:
-                emit(np.add, blocks[i0], blocks[i1], out)
-            elif c1 == -1:
-                emit(np.subtract, blocks[i0], blocks[i1], out)
+            if c1 in (1, -1):
+                second = blocks[i1]
             else:
-                scr = scratch(out)
-                emit(np.multiply, blocks[i1], c1, scr)
-                emit(np.add, blocks[i0], scr, out)
+                second = scratch(out)
+                emit(np.multiply, blocks[i1], const(c1), second)
+            if c0 == -1:
+                emit(np.subtract, second, blocks[i0], out)
+            else:
+                emit(np.subtract if c1 == -1 else np.add,
+                     blocks[i0], second, out)
         else:
-            emit(np.multiply, blocks[i0], c0, out)
+            emit(np.multiply, blocks[i0], const(c0), out)
         for idx, c in rest:
             accumulate(out, blocks[idx], c)
         return out
@@ -342,7 +389,7 @@ def _compile(plan: ExecutionPlan, block_major: bool = False):
         if lvl == steps - 1:
             emit(_matmul, S, T, M)
         else:
-            level(lvl + 1, children(S, m, n), children(T, n, k), M)
+            level(lvl + 1, S, T, M)
 
     def scatter(terms, M, c_blocks, written, skip=None):
         for q, w in terms:
@@ -351,9 +398,9 @@ def _compile(plan: ExecutionPlan, block_major: bool = False):
             if written[q]:
                 accumulate(c_blocks[q], M, w)
             elif w == 1:
-                emit(np.copyto, c_blocks[q], M)
+                emit(_setitem, c_blocks[q], Ellipsis, M)
             else:
-                emit(np.multiply, M, w, c_blocks[q])
+                emit(np.multiply, M, const(w), c_blocks[q])
             written[q] = True
 
     def zero_unfed(c_blocks, written):
@@ -361,11 +408,31 @@ def _compile(plan: ExecutionPlan, block_major: bool = False):
         # partitions of degenerate rules) must not leak stale memory.
         for q, done in enumerate(written):
             if not done:
-                emit(np.copyto, c_blocks[q], zero)
+                emit(_setitem, c_blocks[q], Ellipsis, zero)
 
-    def level(lvl, a_blocks, b_blocks, out):
-        bm, _, bk, depth = block(lvl)
+    def level(lvl, a, b, out):
+        """One recursion level of ``a @ b`` into ``out`` (addresses)."""
+        bm, bn, bk, depth = block(lvl)
+        a_blocks, b_blocks = children(a, m, n), children(b, n, k)
         c_blocks = children(out, m, k)
+        if layout == "stacked" and depth == 0:
+            S = stack(("S", lvl), bm, bn)
+            T = stack(("T", lvl), bn, bk)
+            P = stack(("P", lvl), bm, bk)
+            for i in range(plan.rank):
+                combine(plan.s_terms[i], a_blocks, lambda: S[i], True)
+                combine(plan.t_terms[i], b_blocks, lambda: T[i], True)
+            emit(_matmul, (("S", lvl), ()), (("T", lvl), ()),
+                 (("P", lvl), ()))
+            # Each output block is one combination of the product stack,
+            # its terms in multiplication order.
+            feeds: list = [[] for _ in c_blocks]
+            for i, terms in enumerate(plan.w_terms):
+                for q, w in terms:
+                    feeds[q].append((i, w))
+            for q, terms in enumerate(feeds):
+                combine(terms, P, lambda: c_blocks[q], True)
+            return
         written = [False] * len(c_blocks)
         for i in range(plan.rank):
             S, T = operands(lvl, i, a_blocks, b_blocks)
@@ -386,11 +453,11 @@ def _compile(plan: ExecutionPlan, block_major: bool = False):
                                      if isinstance(a, tuple) and a == M)))
         zero_unfed(c_blocks, written)
 
-    a_blocks = children(root("A", Mp, Np, m, n, steps), m, n)
-    b_blocks = children(root("B", Np, Kp, n, k, steps), n, k)
+    A, B = root("A", Mp, Np, m, n, steps), root("B", Np, Kp, n, k, steps)
     if plan.key.mode != "threaded":
-        level(0, a_blocks, b_blocks, root("C", Mp, Kp, m, k, steps))
+        level(0, A, B, root("C", Mp, Kp, m, k, steps))
         return _Tape(tuple(ops), buffers, reads)
+    a_blocks, b_blocks = children(A, m, n), children(B, n, k)
     bm, _, bk, depth = block(0)
     jobs = []
     for i in range(plan.rank):
@@ -542,14 +609,15 @@ class _Workspace:
     Checked out of the plan's free list for the duration of a call, so
     concurrent executions of the same plan never share a buffer.
     Block-major workspaces hold their tape bound to their own arenas
-    (``ops``) and the staging boxes; view workspaces hold only the
-    tape's slots (a threaded plan's: the scatter's scratch) plus padded
-    staging and output when the shape is ragged; ``batch`` prefixes
-    every shape (one batched call's buffers).
+    (``ops``; a stacked plan's per-product tape too, ``gemm_ops``, on
+    the same staging arenas) and the staging boxes; view workspaces hold
+    only the tape's slots (a threaded plan's: the scatter's scratch)
+    plus padded staging and output when the shape is ragged; ``batch``
+    prefixes every shape (one batched call's buffers).
     """
 
-    __slots__ = ("arrays", "ops", "a_boxes", "b_boxes", "c_boxes",
-                 "Ap", "Bp", "C", "batch")
+    __slots__ = ("arrays", "ops", "gemm_ops", "a_boxes", "b_boxes",
+                 "c_boxes", "Ap", "Bp", "C", "batch")
 
     def __init__(self, plan: ExecutionPlan, batch: tuple = ()) -> None:
         part = plan.partition
@@ -558,13 +626,21 @@ class _Workspace:
         self.batch = batch
         self.arrays = tape.allocate(plan.dtype, roots=plan.block_major,
                                     batch=batch)
-        self.ops = self.a_boxes = self.b_boxes = self.c_boxes = None
+        self.ops = self.gemm_ops = None
+        self.a_boxes = self.b_boxes = self.c_boxes = None
         self.Ap = self.Bp = self.C = None
         Mp, Np, Kp = (part.padded_rows_a, part.padded_cols_a,
                       part.padded_cols_b)
         if plan.block_major:
             m, n, k, steps = part.m, part.n, part.k, key.steps
             self.ops = tape.bind(self.arrays)
+            if plan._gemm_tape is not None:
+                slots = plan._gemm_tape.allocate(plan.dtype, roots=False)
+                self.gemm_ops = plan._gemm_tape.bind(
+                    {**slots, "A": self.arrays["A"], "B": self.arrays["B"],
+                     "C": self.arrays["C"]})
+                self.arrays.update(
+                    {("gemm", name): a for name, a in slots.items()})
             self.a_boxes = _boxes(self.arrays["A"], key.rows_a, key.cols_a,
                                   Mp, Np, m, n, steps)
             self.b_boxes = _boxes(self.arrays["B"], key.cols_a, key.cols_b,
@@ -615,18 +691,30 @@ class ExecutionPlan:
         self.rank = algorithm.rank
         self.s_terms, self.t_terms, self.w_terms = term_lists(
             self.Un, self.Vn, self.Wn)
-        self.block_major = False
+        #: Arena layout: ``"stacked"``, ``"block-major"`` or ``"views"``
+        #: (see the module docstring).
+        self.layout = "views"
+        if key.mode == "sequential":
+            dims = (algorithm, key.rows_a, key.cols_a, key.cols_b)
+            size = {"steps": key.steps, "dtype_bytes": self.dtype.itemsize}
+            if uses_stacked(*dims, **size):
+                self.layout = "stacked"
+            elif uses_block_major(*dims, **size):
+                self.layout = "block-major"
+        self.block_major = self.layout != "views"
         #: Threaded plans: one :class:`_Job` per outer multiplication;
         #: their ``_tape`` is the scatter segment.
         self.jobs: tuple[_Job, ...] = ()
+        #: A stacked plan runs a ``gemm=`` override on the per-product
+        #: block-major tape: the override is one Python call per product
+        #: either way, and that tape needs no slot copies.
+        self._gemm_tape: _Tape | None = None
         if key.mode == "threaded":
             self.jobs, self._tape = _compile(self)
         else:
-            if key.mode == "sequential":
-                self.block_major = uses_block_major(
-                    algorithm, key.rows_a, key.cols_a, key.cols_b,
-                    steps=key.steps, dtype_bytes=self.dtype.itemsize)
-            self._tape = _compile(self, self.block_major)
+            self._tape = _compile(self, self.layout)
+            if self.layout == "stacked":
+                self._gemm_tape = _compile(self, "block-major")
         self._free: list = []
         self._lock = threading.Lock()
         self.workspaces_built = 0
@@ -640,15 +728,24 @@ class ExecutionPlan:
     def estimate(self) -> WorkspaceEstimate:
         """The arena footprint of one workspace (the §3.3 model's terms).
 
-        Priced from the compiled tape: exactly what one checked-out
-        workspace allocates.  A threaded plan's workspace holds staging,
-        the output arena and the scatter's scratch; its job buffers are
-        allocated per job call and are not part of it.  A batched plan
-        prices the per-call buffers of one stack item.
+        Priced from the compiled tapes: exactly what one checked-out
+        workspace allocates (a stacked plan's per-product tape included).
+        A threaded plan's workspace holds staging, the output arena and
+        the scatter's scratch; its job buffers are allocated per job call
+        and are not part of it.  A batched plan prices the per-call
+        buffers of one stack item.
         """
         item = self.dtype.itemsize
-        sizes = {name: math.prod(shape) * item
-                 for name, shape in self._tape.buffers.items()}
+        combination = products = 0
+        for tape in (self._tape, self._gemm_tape):
+            if tape is None:
+                continue
+            for name, shape in tape.buffers.items():
+                if name[0] in ("S", "T"):
+                    combination += math.prod(shape) * item
+                elif name[0] == "P":
+                    products += math.prod(shape) * item
+            combination += _scratch_elements(tape.buffers) * item
         part = self.partition
         Mp, Np, Kp = (part.padded_rows_a, part.padded_cols_a,
                       part.padded_cols_b)
@@ -656,11 +753,8 @@ class ExecutionPlan:
         return WorkspaceEstimate(
             padded_inputs=(Mp * Np * item if bm or self.pads_a else 0)
             + (Np * Kp * item if bm or self.pads_b else 0),
-            combination_buffers=sum(
-                b for name, b in sizes.items() if name[0] in ("S", "T"))
-            + _scratch_elements(self._tape.buffers) * item,
-            product_buffers=sum(
-                b for name, b in sizes.items() if name[0] == "P"),
+            combination_buffers=combination,
+            product_buffers=products,
             padded_output=Mp * Kp * item if bm or self.pads_c else 0,
         )
 
@@ -699,9 +793,9 @@ class ExecutionPlan:
         """
         if ws.a_boxes is not None:
             for sl, shape, dst in ws.a_boxes:
-                np.copyto(dst, A[sl].reshape(shape))
+                dst[...] = A[sl].reshape(shape)
             for sl, shape, dst in ws.b_boxes:
-                np.copyto(dst, B[sl].reshape(shape))
+                dst[...] = B[sl].reshape(shape)
             return ws.arrays["A"], ws.arrays["B"]
         if ws.Ap is None:
             Ap = A
@@ -759,10 +853,13 @@ class ExecutionPlan:
         try:
             if ws.ops is not None:
                 self.stage(ws, A, B)
-                _run(ws.ops, gemm, self._tape.reads)
+                if gemm is not None and ws.gemm_ops is not None:
+                    _run(ws.gemm_ops, gemm, self._gemm_tape.reads)
+                else:
+                    _run(ws.ops, gemm, self._tape.reads)
                 C = np.empty((key.rows_a, key.cols_b), dtype=self.dtype)
                 for sl, shape, src in ws.c_boxes:
-                    np.copyto(C[sl].reshape(shape), src)
+                    C[sl].reshape(shape)[...] = src
                 return C
             Ap, Bp = self.stage(ws, A, B)
             return self._run_views(ws, {"A": Ap, "B": Bp}, gemm)
@@ -853,7 +950,8 @@ class PlanCache:
         algorithm by identity — the cached plan keeps it alive); the
         :class:`PlanKey` record is built only when a plan is.
         """
-        dtype = np.dtype(dtype)
+        if not isinstance(dtype, np.dtype):
+            dtype = np.dtype(dtype)
         lam = float(lam)
         fast = (id(algorithm), rows_a, cols_a, cols_b, dtype, lam, steps,
                 mode)
@@ -981,7 +1079,8 @@ def resolve_plan_cache(plan_cache) -> PlanCache | None:
     uncached plan.
     """
     if plan_cache is None:
-        return default_plan_cache()
+        cache = _DEFAULT_CACHE
+        return cache if cache is not None else default_plan_cache()
     if plan_cache is False:
         return None
     if isinstance(plan_cache, PlanCache):

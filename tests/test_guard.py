@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -317,6 +319,24 @@ class TestGuardedBackend:
         assert guard.violations == 1
         assert guard.log.count("exception") == 1
         assert guard.log.count("fallback") == 1
+
+    def test_warning_raised_as_error_is_not_a_failure(self, rng):
+        # Under -W error a RuntimeWarning from the gemm is the caller's
+        # policy: it propagates, with no strike and no escalation.
+        def warning_gemm(S, T):
+            warnings.warn("overflow in gemm", RuntimeWarning)
+            return S @ T
+
+        guard = GuardedBackend(APABackend(
+            algorithm=get_algorithm("strassen222"), gemm=warning_gemm))
+        A, B = rng.random((8, 8)), rng.random((8, 8))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeWarning):
+                guard.matmul(A, B)
+        assert guard.violations == 0
+        assert guard.log.count("exception") == 0
+        assert not guard.breaker.open_keys()
 
     def test_shared_event_log(self, rng):
         from repro.robustness.events import EventLog

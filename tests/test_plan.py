@@ -70,10 +70,11 @@ def _bitwise_cases():
 
     Every non-surrogate catalog rule at every step count whose unrolled
     tape stays within 1000 gemms, on an exact and a ragged shape whose
-    last-step blocks are at least 2x2x2 (so the default budget stages
-    them block-major), each also forced onto views; a ``gemm=`` override
-    that keeps the dtype (float64) or upcasts (float32); the unfed-block
-    rule on the same grid; and exact and ragged shapes above the budget.
+    last-step blocks are at least 2x2x2 (so the default budgets stage
+    them block-major and stack their last level), each also forced onto
+    per-product block-major and onto views; a ``gemm=`` override that
+    keeps the dtype (float64) or upcasts (float32); the unfed-block rule
+    on the same grid; and exact and ragged shapes above the budget.
 
     The other runners execute the same tape on the same grid (steps
     1-2): the thread runner on every rule, cycling through 1-3 threads
@@ -96,7 +97,7 @@ def _bitwise_cases():
                 for dtype in ("float32", "float64"):
                     gemms = ("np", "override") if dtype == "float64" \
                         else ("np", "upcast")
-                    for layout in ("block-major", "views"):
+                    for layout in ("stacked", "block-major", "views"):
                         for gemm in gemms:
                             cases.append(pytest.param(
                                 name, steps, shape, dtype, layout, gemm,
@@ -167,6 +168,8 @@ def test_plan_matches_interpreter_bitwise(name, steps, shape, dtype, layout,
     alg = _rule(name)
     if layout == "views":
         monkeypatch.setattr(memory_module, "BLOCK_MAJOR_BYTES", 0)
+    elif layout == "block-major":
+        monkeypatch.setattr(memory_module, "STACKED_BYTES", 0)
     gemm = _GEMMS[gemm]
     A, B = _operands(shape, dtype=np.dtype(dtype))
     cold = apa_matmul(A, B, alg, lam=1e-3, steps=steps, gemm=gemm,
@@ -188,12 +191,84 @@ def test_plan_matches_interpreter_bitwise(name, steps, shape, dtype, layout,
     if runner == "sequential":
         plan = cache.plan_for(alg, *A.shape, B.shape[1], A.dtype, 1e-3,
                               steps=steps)
-        assert plan.block_major == (layout == "block-major")
+        assert plan.layout == ("views" if layout == "large" else layout)
+        assert plan.block_major == (layout in ("stacked", "block-major"))
     if name == _UNFED.name:
         # No product feeds C22: every runner leaves it zero.
         rows = required_padding(shape[0], 2, steps) // 2
         cols = required_padding(shape[2], 2, steps) // 2
         assert not warm1[..., rows:, cols:].any()
+
+
+@pytest.mark.parametrize("layout", ["views", "block-major"])
+@pytest.mark.parametrize("name,ops", [
+    ("strassen222", 26), ("winograd222", 34), ("laderman333", 125),
+    ("bini322", 60),
+])
+def test_leading_minus_one_folds_into_one_subtract(name, ops, layout,
+                                                   monkeypatch):
+    # -a0 + a1 is a1 - a0 in IEEE arithmetic: one op instead of a
+    # negation plus an add, for every combination it opens (2 fewer ops
+    # in strassen222, 3 in winograd222, 12 in laderman333; bini322's two
+    # are followed by another -1, which no single op rounds alike).
+    monkeypatch.setattr(memory_module, "STACKED_BYTES", 0)
+    if layout == "views":
+        monkeypatch.setattr(memory_module, "BLOCK_MAJOR_BYTES", 0)
+    alg = get_algorithm(name)
+    plan = PlanCache().plan_for(alg, 2 * alg.m, 2 * alg.n, 2 * alg.k,
+                                np.float64, 1e-3)
+    assert plan.layout == layout
+    assert len(plan._tape.ops) == ops
+
+
+@pytest.mark.parametrize("name,steps,dtype", [
+    ("strassen222", 1, np.float64), ("bini322", 1, np.float32),
+    ("strassen222", 2, np.float32), ("bini322", 2, np.float64),
+])
+def test_stacked_plan_calls_the_gemm_seam_per_product(name, steps, dtype):
+    # A stacked plan runs a gemm= override on its per-product tape, so
+    # the override still sees every sub-product: once each, 2-D, in
+    # multiplication order (the interpreter's calls).
+    alg = get_algorithm(name)
+    shape = (2 * alg.m ** steps + 1, 2 * alg.n ** steps,
+             2 * alg.k ** steps + 1)
+    A, B = _operands(shape, dtype=dtype)
+
+    def recorder(calls):
+        def gemm(S, T):
+            calls.append((S.copy(), T.copy()))
+            return np.matmul(S, T)
+        return gemm
+
+    seen, expected = [], []
+    cache = PlanCache()
+    C = apa_matmul(A, B, alg, lam=1e-3, steps=steps, gemm=recorder(seen),
+                   plan_cache=cache)
+    cold = apa_matmul(A, B, alg, lam=1e-3, steps=steps,
+                      gemm=recorder(expected), plan_cache=False)
+    plan = cache.plan_for(alg, *shape[:2], shape[2], A.dtype, 1e-3,
+                          steps=steps)
+    assert plan.layout == "stacked"
+    assert np.array_equal(C, cold)
+    assert len(seen) == alg.rank ** steps == len(expected)
+    for (S, T), (S0, T0) in zip(seen, expected):
+        assert S.ndim == T.ndim == 2
+        assert np.array_equal(S, S0) and np.array_equal(T, T0)
+
+
+def test_stacked_plan_combines_an_upcast_product_uncast():
+    # An override returning float64 for float32 blocks: the combinations
+    # read the float64 products, not their float32 copies in the arena.
+    alg = get_algorithm("bini322")
+    A, B = _operands((24, 16, 20), dtype=np.float32)
+    cache = PlanCache()
+    C = apa_matmul(A, B, alg, lam=1e-3, gemm=_upcast_gemm, plan_cache=cache)
+    assert cache.plan_for(alg, 24, 16, 20, A.dtype, 1e-3).layout == "stacked"
+    assert np.array_equal(C, apa_matmul(A, B, alg, lam=1e-3,
+                                        gemm=_upcast_gemm, plan_cache=False))
+    cast = apa_matmul(A, B, alg, lam=1e-3, plan_cache=PlanCache(),
+                      gemm=lambda S, T: _upcast_gemm(S, T).astype(S.dtype))
+    assert not np.array_equal(C, cast)
 
 
 def test_plan_reuse_is_bit_identical_across_many_calls():
@@ -414,20 +489,29 @@ def _owned_bytes(ws):
     ("bini322", (25, 17, 19), 2, np.float32, "threaded"),
     ("laderman333", (27, 27, 27), 1, np.float64, "threaded"),
     ("bini322", (37, 29, 41), 1, np.float64, "threaded"),
+    # Stacked plans: r-deep S, T and P stacks at the last level.
+    ("strassen222", (16, 16, 16), 1, np.float64, "stacked"),
+    ("bini322", (24, 16, 20), 2, np.float32, "stacked"),
+    ("bini322", (64, 96, 10), 1, np.float32, "stacked"),
+    ("laderman333", (28, 26, 27), 1, np.float64, "stacked"),
 ])
 def test_plan_estimate_prices_the_arena(name, shape, steps, dtype,
                                         layout, monkeypatch):
     # The estimate is exactly what one checked-out workspace allocates,
     # and the §3.3 model bounds it with the same staging terms.
-    # ``layout``: True block-major, False views, or a threaded plan.
+    # ``layout``: True per-product block-major, False views, "stacked",
+    # or a threaded plan.
     threaded = layout == "threaded"
     if layout is False:
         monkeypatch.setattr(memory_module, "BLOCK_MAJOR_BYTES", 0)
+    elif layout is True:
+        monkeypatch.setattr(memory_module, "STACKED_BYTES", 0)
     alg = get_algorithm(name)
     plan = PlanCache().plan_for(alg, *shape, dtype, lam=1e-2, steps=steps,
                                 mode="threaded" if threaded
                                 else "sequential")
-    assert plan.block_major == (layout is True)
+    assert plan.block_major == (layout in (True, "stacked"))
+    assert (plan.layout == "stacked") == (layout == "stacked")
     est = plan.estimate
     ws = plan.checkout()
     try:
