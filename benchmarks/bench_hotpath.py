@@ -38,7 +38,7 @@ def main(argv: list[str] | None = None) -> int:
                              "this (0 disables the gate)")
     parser.add_argument("--max-engine-overhead", type=float, default=0.02,
                         help="exit 1 if the engine-shim dispatch overhead "
-                             "(paired median vs the direct impl call) "
+                             "(paired median vs the direct plan path) "
                              "exceeds this fraction (default 0.02; "
                              "negative disables the gate)")
     parser.add_argument("--out", type=Path, default=OUT_DIR / "BENCH_hotpath.json")
